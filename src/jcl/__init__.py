@@ -84,10 +84,8 @@ from .strong import (
     StrongBatch,
     StrongRunResult,
     bind_strong,
-    build_partition,
     calibrate_C,
     run_strong,
-    score,
     simulate_strong,
     stage_bound,
 )

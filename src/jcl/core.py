@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -335,6 +335,3 @@ def device_streams(root_seed: int, *context: str | int) -> tuple[np.random.Gener
         substream(root_seed, *context, "harness"),
     )
 
-
-def indices_from_labels(outcomes: OutcomeSet, labels: Iterable[str]) -> np.ndarray:
-    return np.array([outcomes.index(l) for l in labels], dtype=np.int64)

@@ -1,9 +1,10 @@
 """Standard normal CDF and quantile, self-contained.
 
 The CDF goes through the complementary error function; the quantile is
-a monotone bisection on it.  Accuracy target: ``|cdf(quantile(p)) - p|``
-at most 1e-8 across (0, 1), which downstream interval decoding relies
-on.  No dependency beyond the standard library.
+the standard library's ``NormalDist.inv_cdf`` (Wichura's algorithm
+AS 241, relative error near 1e-16).  Downstream interval decoding
+relies on ``|cdf(quantile(p)) - p|`` staying below 1e-8 across (0, 1).
+No dependency beyond the standard library.
 """
 
 from __future__ import annotations
@@ -11,9 +12,6 @@ from __future__ import annotations
 import math
 
 _SQRT2 = math.sqrt(2.0)
-
-#: beyond this magnitude the float64 CDF is exactly 0 or 1
-_BRACKET = 40.0
 
 
 def normal_cdf(x: float) -> float:
@@ -31,9 +29,7 @@ def normal_quantile(p: float) -> float:
     """Inverse of :func:`normal_cdf` on [0, 1].
 
     The boundary points map to the infinite sentinels -inf and +inf;
-    arguments outside [0, 1] are rejected.  Interior values are found
-    by bisection, which is safe because the CDF is strictly increasing
-    wherever float64 can resolve it.
+    arguments outside [0, 1] are rejected.
     """
     if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
         raise ValueError(f"quantile argument must lie in [0, 1], got {p!r}")
@@ -42,15 +38,6 @@ def normal_quantile(p: float) -> float:
     if p == 1.0:
         return math.inf
     if p == 0.5:
-        # bisection would creep toward 0 one-sidedly; symmetry is exact
         return 0.0
-    lo, hi = -_BRACKET, _BRACKET
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13:
-            break
-    return 0.5 * (lo + hi)
+    from statistics import NormalDist  # deferred: the detecting lottery never needs it
+    return NormalDist().inv_cdf(p)

@@ -14,10 +14,16 @@ than an amount that vanishes as ``C`` grows.
 
 Two execution paths share the same definitions: :func:`run_strong`
 plays one run stage by stage and can record a transcript, while
-:func:`simulate_strong` advances many runs at once in variable-size
-blocks (pair counts via binomial chains, exact crossing stage via
-hypergeometric bisection) and is exact in distribution, not an
-approximation.
+:func:`simulate_strong` advances many runs at once and is exact in
+distribution, not an approximation.  Each run jumps a block sized by
+its own letter law, the largest ``m`` with ``m*mu + 4*sigma*sqrt(m)``
+inside the remaining budget, and draws the block's pair counts from
+binomial chains.  Runs with only a few dozen stages left finish in
+windows of per-stage draws, and the rare block that does cross the
+budget is bisected by hypergeometric splits down to its exact stop.
+Both paths keep integer pair counts and stop by one clock, the counts
+dotted with the squared scores, so a letter sequence stops at the same
+stage whichever path plays it.
 """
 
 from __future__ import annotations
@@ -47,12 +53,28 @@ from .stats import EmpiricalDistribution, hoeffding_margin, linf_distance
 # generator's supported range while still jumping millions of stages.
 M_MAX = 1 << 24
 
+# Block jumps keep K=_JUMP_SIGMAS deviations of room below the budget;
+# shorter jumps than _TAIL_MIN become windows of _TAIL per-stage draws.
+_JUMP_SIGMAS = 4.0
+_TAIL_MIN = 16
+_TAIL = 32
+_TAIL_ROWS = 512
+
 # Aim points are clamped here; reachable normalized sums stay near
 # [-1.2, 1.2], so +-40 is an effective infinity for the push rule.
 _AIM_CLAMP = 40.0
 
 # Pair order everywhere: index = 2*a1 + a2 over (aa, ab, ba, bb).
-PAIRS = ((ALPHA, ALPHA), (ALPHA, BETA), (BETA, ALPHA), (BETA, BETA))
+_PAIR_IDS = np.arange(4).reshape(4, 1, 1)
+
+
+def _dot(counts, v):
+    """``sum_j counts[j] * v[j]`` in one fixed order, over pair-first counts.
+
+    Every engine stops by ``_dot(counts, w**2) >= C``, so no block
+    schedule or summation order can move a stopping stage.
+    """
+    return ((counts[0] * v[0] + counts[1] * v[1]) + counts[2] * v[2]) + counts[3] * v[3]
 
 
 def _pair_probs(p1, p2):
@@ -78,13 +100,7 @@ class ScoreTable:
     def from_coins(cls, coins: BinaryCoinPair) -> "ScoreTable":
         s1a, s1b = coins.prob(1, ALPHA), coins.prob(1, BETA)
         s2a, s2b = coins.prob(2, ALPHA), coins.prob(2, BETA)
-        w = np.array(
-            [
-                [-s1b * s2b, +s1b * s2a],
-                [+s1a * s2b, -s1a * s2a],
-            ],
-            dtype=np.float64,
-        )
+        w = np.array([[-s1b * s2b, +s1b * s2a], [+s1a * s2b, -s1a * s2a]], dtype=np.float64)
         w.setflags(write=False)
         table = cls(coins, w)
         table._check_zero_mean()
@@ -123,29 +139,26 @@ class ScoreTable:
         """Hard stage bound: every increment squares to at least min_abs^2."""
         return math.ceil(C / self.min_abs**2)
 
-    def stall_letter(self, device: int) -> int:
-        """Letter minimizing the clock's expected advance for ``device``."""
+    def _moments_given(self, device: int) -> np.ndarray:
+        """E[w^2] per letter of ``device`` when the other device is honest."""
         other = 2 if device == 1 else 1
         marg = np.array([self.coins.prob(other, ALPHA), self.coins.prob(other, BETA)])
         w2 = self.values**2
-        cond = w2 @ marg if device == 1 else marg @ w2
+        return w2 @ marg if device == 1 else marg @ w2
+
+    def stall_letter(self, device: int) -> int:
+        """Letter minimizing the clock's expected advance for ``device``."""
+        cond = self._moments_given(device)
         return ALPHA if cond[ALPHA] <= cond[BETA] else BETA
 
     def rush_letter(self, device: int) -> int:
         """Letter maximizing the clock's expected advance for ``device``."""
-        other = 2 if device == 1 else 1
-        marg = np.array([self.coins.prob(other, ALPHA), self.coins.prob(other, BETA)])
-        w2 = self.values**2
-        cond = w2 @ marg if device == 1 else marg @ w2
+        cond = self._moments_given(device)
         return ALPHA if cond[ALPHA] >= cond[BETA] else BETA
 
     def second_moment_given(self, device: int, letter: int) -> float:
         """E[w^2] when ``device`` plays ``letter`` and the other is honest."""
-        other = 2 if device == 1 else 1
-        marg = np.array([self.coins.prob(other, ALPHA), self.coins.prob(other, BETA)])
-        w2 = self.values**2
-        cond = w2 @ marg if device == 1 else marg @ w2
-        return float(cond[letter])
+        return float(self._moments_given(device)[letter])
 
 
 def stage_bound(coins: BinaryCoinPair, C: float) -> int:
@@ -350,8 +363,11 @@ def run_strong(
     view = _StrongView(C=C, table=table, partition=partition)
     letters1: list[int] = []
     letters2: list[int] = []
+    w = tuple(float(v) for v in table.flat)
+    w2 = tuple(v * v for v in w)
+    counts = [0, 0, 0, 0]
     # Two extra stages of slack: a run advancing at exactly the minimum
-    # increment lands on the cap, and float summation order can shift
+    # increment lands on the cap, and rounding in the clock can shift
     # the crossing by a stage.
     cap = table.stage_cap(C) + 2
     stage = 0
@@ -361,22 +377,18 @@ def run_strong(
         a1, a2 = sample_stage(st1, st2, ctx1, ctx2, rng1, rng2)
         letters1.append(a1)
         letters2.append(a2)
-        y = table.score(a1, a2)
-        view.sum_y += y
-        view.sum_y2 += y * y
+        counts[2 * a1 + a2] += 1
+        view.sum_y = _dot(counts, w)
+        view.sum_y2 = _dot(counts, w2)
         stage += 1
         if stage > cap:
             raise AssertionError("variance clock failed to reach C within the hard cap")
     z = view.sum_y / math.sqrt(C)
     idx = partition.index_of(z)
-    transcript = None
-    if record:
-        transcript = Transcript(
-            stages=list(zip(letters1, letters2)),
-            terminal=partition.outcomes.labels[idx],
-        )
+    label = partition.outcomes.labels[idx]
+    transcript = Transcript(stages=list(zip(letters1, letters2)), terminal=label) if record else None
     return StrongRunResult(
-        outcome=partition.outcomes.labels[idx],
+        outcome=label,
         outcome_index=idx,
         stages=stage,
         z=z,
@@ -408,77 +420,109 @@ class StrongBatch:
 def _mhg_split(gen: np.random.Generator, counts: np.ndarray, m_lo: np.ndarray) -> np.ndarray:
     """Multivariate hypergeometric prefix split, vectorized over runs.
 
-    Given per-run pair counts over a block (shape (k, 4)) this samples
+    Given per-run pair counts over a block (shape (4, k)) this samples
     how many of each pair land in the first ``m_lo`` stages, which is
     exact because i.i.d. letters are exchangeable given their counts.
     """
     lo = np.zeros_like(counts)
-    remaining = m_lo.astype(np.int64).copy()
-    pool = counts.sum(axis=1)
+    remaining = m_lo.copy()
+    pool = counts.sum(axis=0)
     for j in range(3):
-        good = counts[:, j]
-        bad = pool - good
+        good = counts[j]
         need = remaining > 0
         # masked lanes get legal dummy parameters, result discarded
-        ng = np.where(need, good, 1)
-        nb = np.where(need, bad, 0)
-        ns = np.where(need, remaining, 1)
-        x = gen.hypergeometric(ng, nb, ns)
-        x = np.where(need, x, 0)
-        lo[:, j] = x
-        remaining -= x
+        x = gen.hypergeometric(
+            np.where(need, good, 1), np.where(need, pool - good, 0), np.where(need, remaining, 1)
+        )
+        lo[j] = np.where(need, x, 0)
+        remaining -= lo[j]
         pool -= good
-    lo[:, 3] = remaining
+    lo[3] = remaining
     return lo
 
 
 def _refine_crossings(
-    harness: np.random.Generator,
-    w: np.ndarray,
-    w2: np.ndarray,
-    C: float,
-    sum_y: np.ndarray,
-    sum_y2: np.ndarray,
-    stages: np.ndarray,
-    ridx: np.ndarray,
-    counts: np.ndarray,
-    m: np.ndarray,
-) -> None:
+    harness: np.random.Generator, w2: np.ndarray, C: float,
+    base: np.ndarray, blk: np.ndarray, m: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Bisect crossing blocks down to the exact stopping stage.
 
-    On entry each listed run's block of ``m`` stages is known to push
-    the clock past ``C``.  Squared increments are positive, so the
-    crossing half of every split is identified by its clock total
-    alone; roughly log2(m) splits isolate the stopping stage.
+    ``base`` holds each run's pair counts before its block and ``blk``
+    the block's counts over ``m`` stages, which take the clock to ``C``.
+    Squared increments are positive, so the clock alone names the half
+    holding the stop.  Returns the counts at the stop and the stages
+    played inside the block; the arguments are overwritten.
     """
-    live = np.ones(ridx.size, dtype=bool)
-    while True:
-        single = live & (m == 1)
-        if np.any(single):
-            rows = np.nonzero(single)[0]
-            g = ridx[rows]
-            sum_y[g] += counts[rows] @ w
-            sum_y2[g] += counts[rows] @ w2
-            stages[g] += 1
-            live[rows] = False
-        if not np.any(live):
-            return
-        rows = np.nonzero(live)[0]
-        g = ridx[rows]
-        m_lo = m[rows] >> 1
-        lo = _mhg_split(harness, counts[rows], m_lo)
-        y2_lo = lo @ w2
-        in_lo = sum_y2[g] + y2_lo >= C
-        a = rows[in_lo]
-        counts[a] = lo[in_lo]
-        m[a] = m_lo[in_lo]
-        b = rows[~in_lo]
-        gb = ridx[b]
-        sum_y[gb] += lo[~in_lo] @ w
-        sum_y2[gb] += y2_lo[~in_lo]
-        stages[gb] += m_lo[~in_lo]
-        counts[b] -= lo[~in_lo]
-        m[b] -= m_lo[~in_lo]
+    steps = np.zeros(m.size, dtype=np.int64)
+    live = np.nonzero(m > 1)[0]
+    while live.size:
+        half = m[live] >> 1
+        lo = _mhg_split(harness, blk[:, live], half)
+        in_lo = _dot(base[:, live] + lo, w2) >= C
+        a, b = live[in_lo], live[~in_lo]
+        blk[:, a], m[a] = lo[:, in_lo], half[in_lo]
+        base[:, b] += lo[:, ~in_lo]
+        blk[:, b] -= lo[:, ~in_lo]
+        steps[b] += half[~in_lo]
+        m[b] -= half[~in_lo]
+        live = live[m[live] > 1]
+    # each block is down to its one crossing stage
+    return base + blk, steps + 1
+
+
+def _block_jumps(
+    dev1: np.random.Generator, dev2: np.random.Generator, harness: np.random.Generator,
+    p: np.ndarray, w2: np.ndarray, C: float, base: np.ndarray, m: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jump ``m`` stages of each run, bisecting the rare block that crosses.
+
+    The block's pair counts come from binomial chains with alpha
+    probabilities ``p[0]`` and ``p[1]``.  Returns the counts, the stages
+    played and whether each run stopped; ``m`` is overwritten.
+    """
+    k1 = dev1.binomial(m, p[0])
+    kaa, kba = dev2.binomial(k1, p[1]), dev2.binomial(m - k1, p[1])
+    blk = np.stack([kaa, k1 - kaa, kba, m - k1 - kba])
+    counts = base + blk
+    crossed = _dot(counts, w2) >= C
+    if np.any(crossed):
+        counts[:, crossed], m[crossed] = _refine_crossings(
+            harness, w2, C, base[:, crossed], blk[:, crossed], m[crossed]
+        )
+    return counts, m, crossed
+
+
+def _tail_windows(
+    dev1: np.random.Generator, dev2: np.random.Generator, p: np.ndarray,
+    w2: np.ndarray, C: float, base: np.ndarray, L: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Play up to ``L`` stages of each run one stage at a time.
+
+    Each stage draws one uniform per device (alpha below ``p[0]`` resp.
+    ``p[1]``) and the clock is checked after every stage.  Rows go
+    ``_TAIL_ROWS`` at a time to bound memory.  Returns the counts, the
+    stages played and whether each run stopped.
+    """
+    k = base.shape[1]
+    counts, steps, stopped = np.empty_like(base), np.empty(k, dtype=np.int64), np.empty(k, dtype=bool)
+    for lo in range(0, k, _TAIL_ROWS):
+        sl = slice(lo, lo + _TAIL_ROWS)
+        n, width = base[:, sl].shape[1], int(L[sl].max())
+        pair = 2 * (dev1.random((n, width)) >= p[0, sl, None]) + (dev2.random((n, width)) >= p[1, sl, None])
+        tot = base[:, sl, None] + np.cumsum(pair == _PAIR_IDS, axis=2)
+        hit = (_dot(tot, w2) >= C) & (np.arange(width) < L[sl, None])
+        stopped[sl] = hit.any(axis=1)
+        last = np.where(stopped[sl], hit.argmax(axis=1), L[sl] - 1)
+        counts[:, sl], steps[sl] = tot[:, np.arange(n), last], last + 1
+    return counts, steps, stopped
+
+
+def _jump_sizes(rem: np.ndarray, mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """Largest m with ``m*mu + K*sd*sqrt(m) < rem``: strictly, so that a
+    clock with a fixed advance never lands on ``C`` at a block's end."""
+    ks = _JUMP_SIGMAS * sd
+    x = 2.0 * rem / (ks + np.sqrt(ks * ks + 4.0 * mu * rem))
+    return np.ceil(np.minimum(x * x, M_MAX)).astype(np.int64) - 1
 
 
 def simulate_strong(
@@ -495,13 +539,15 @@ def simulate_strong(
 ) -> StrongBatch:
     """Run many bounded lotteries at once, exactly, in block jumps.
 
-    Every supported adversary plays a letter that is constant over a
-    lookahead window (honest, constant and stall are stationary; the
-    push rule only changes state at its review stages),
-    so whole windows of pair counts can be drawn from binomial chains
-    and only blocks that cross the clock budget are bisected.  Setting
-    ``m_cap=1`` forces stage-at-a-time sampling for differential
-    tests.
+    Every supported adversary holds its letter law between the push
+    rule's review stages, so a block's pair counts are binomial.  Each
+    run jumps the largest ``m`` with ``m*mu + K*sigma*sqrt(m)`` inside
+    its remaining budget, ``mu`` and ``sigma`` being the mean and
+    deviation of one stage's clock advance under that run's letter
+    laws, so blocks rarely cross ``C``.  Shorter jumps than
+    ``_TAIL_MIN`` become windows of per-stage draws, and the rare
+    crossing block is bisected to its exact stop.  ``m_cap=1`` forces
+    stage-at-a-time sampling for differential tests.
     """
     if C <= 0:
         raise ValueError(f"C must be positive, got {C}")
@@ -517,100 +563,80 @@ def simulate_strong(
 
     dev1, dev2, harness = device_streams(seed, *context)
     w = table.flat.copy()
-    w2 = w**2
+    w2 = w * w
     cap = int(m_cap) if m_cap is not None else M_MAX
     if cap < 1:
         raise ValueError(f"m_cap must be at least 1, got {cap}")
     cap = min(cap, M_MAX)
+    honest = coins.prob(3 - adversary_device, ALPHA)
 
-    honest1 = coins.prob(1, ALPHA)
-    honest2 = coins.prob(2, ALPHA)
-
-    # stationary adversary letter, when the attack defines one
-    fixed_p: float | None = None
-    if isinstance(spec, Honest):
-        fixed_p = coins.prob(adversary_device, ALPHA)
-    elif isinstance(spec, Constant):
-        fixed_p = 1.0 if spec.letter == ALPHA else 0.0
-    elif isinstance(spec, Stall):
-        fixed_p = 1.0 if table.stall_letter(adversary_device) == ALPHA else 0.0
-    else:
+    # adversary states: 0 plays alpha, 1 plays beta, 2 plays its own coin;
+    # per state, the mean and deviation of one stage's clock advance
+    p_of = np.array([1.0, 0.0, coins.prob(adversary_device, ALPHA)])
+    pair = _pair_probs(p_of, honest) if adversary_device == 1 else _pair_probs(honest, p_of)
+    mu_of = pair @ w2
+    sd_of = np.sqrt(np.maximum(pair @ (w2 * w2) - mu_of * mu_of, 0.0))
+    push = isinstance(spec, Push)
+    if push:
         aim_sum, f_pos, f_neg, rush, review, reach = _push_plan(
             table, partition, spec, adversary_device, C
         )
-        finished = np.zeros(runs, dtype=bool)
-        letters = np.full(runs, rush, dtype=np.int64)
+        state = rush
+    elif isinstance(spec, Honest):
+        state = 2
+    else:
+        state = spec.letter if isinstance(spec, Constant) else table.stall_letter(adversary_device)
 
-    sum_y = np.zeros(runs)
-    sum_y2 = np.zeros(runs)
-    stages = np.zeros(runs, dtype=np.int64)
-    active = np.ones(runs, dtype=bool)
+    # results fill in as runs stop; the runs still playing are compacted
+    counts, stages = np.empty((4, runs), dtype=np.int64), np.empty(runs, dtype=np.int64)
+    ridx, cnt, st = np.arange(runs), np.zeros((4, runs), dtype=np.int64), np.zeros(runs, dtype=np.int64)
+    letters, finished = np.full(runs, state), np.zeros(runs, dtype=bool)
 
-    while np.any(active):
-        idx = np.nonzero(active)[0]
-        rem = C - sum_y2[idx]
-
-        if fixed_p is not None:
-            p_adv = np.full(idx.size, fixed_p)
-            m_limit = np.full(idx.size, cap, dtype=np.int64)
-        else:
-            st = stages[idx]
-            due = ~finished[idx] & (st % review == 0)
+    while ridx.size:
+        limit = np.full(ridx.size, cap)
+        if push:
+            due = ~finished & (st % review == 0)
             if np.any(due):
-                g = idx[due]
-                d = aim_sum - sum_y[g]
-                fin_now = np.abs(d) <= reach
-                finished[g] = fin_now
-                letters[g] = np.where(fin_now, rush, np.where(d > 0, f_pos, f_neg))
-            p_adv = np.where(letters[idx] == ALPHA, 1.0, 0.0)
+                d = aim_sum - _dot(cnt[:, due], w)
+                now = np.abs(d) <= reach
+                finished[due] = now
+                letters[due] = np.where(now, rush, np.where(d > 0, f_pos, f_neg))
             # blocks must not cross a review stage; finished lanes keep
             # one letter forever and can jump straight to the budget
-            to_review = review - (st % review)
-            m_limit = np.where(finished[idx], cap, np.minimum(to_review, cap))
-            m_limit = m_limit.astype(np.int64)
+            limit = np.where(finished, cap, np.minimum(review - st % review, cap))
+        p = np.full((2, ridx.size), honest)
+        p[adversary_device - 1] = p_of[letters]
+        m = np.minimum(_jump_sizes(C - _dot(cnt, w2), mu_of[letters], sd_of[letters]), limit)
+        done = np.zeros(ridx.size, dtype=bool)
 
-        if adversary_device == 1:
-            p1, p2 = p_adv, np.full(idx.size, honest2)
-        else:
-            p1, p2 = np.full(idx.size, honest1), p_adv
-
-        e_inc = _pair_probs(p1, p2) @ w2
-        m = np.ceil(1.5 * rem / e_inc).astype(np.int64)
-        m = np.minimum(np.maximum(m, 1), m_limit)
-
-        k1 = dev1.binomial(m, p1)
-        kaa = dev2.binomial(k1, p2)
-        kba = dev2.binomial(m - k1, p2)
-        counts = np.stack([kaa, k1 - kaa, kba, m - k1 - kba], axis=1)
-        y2_blk = counts @ w2
-        crossed = sum_y2[idx] + y2_blk >= C
-
-        keep = idx[~crossed]
-        sum_y[keep] += counts[~crossed] @ w
-        sum_y2[keep] += y2_blk[~crossed]
-        stages[keep] += m[~crossed]
-
-        if np.any(crossed):
-            _refine_crossings(
-                harness, w, w2, C,
-                sum_y, sum_y2, stages,
-                idx[crossed], counts[crossed].copy(), m[crossed].copy(),
+        tail = m < _TAIL_MIN
+        if np.any(tail):
+            t = np.nonzero(tail)[0]
+            cnt[:, t], steps, done[t] = _tail_windows(
+                dev1, dev2, p[:, t], w2, C, cnt[:, t], np.minimum(_TAIL, limit[t])
             )
-            active[idx[crossed]] = False
+            st[t] += steps
+        if not np.all(tail):
+            b = np.nonzero(~tail)[0]
+            cnt[:, b], steps, done[b] = _block_jumps(
+                dev1, dev2, harness, p[:, b], w2, C, cnt[:, b], m[b]
+            )
+            st[b] += steps
+
+        if np.any(done):
+            g, keep = ridx[done], ~done
+            counts[:, g], stages[g] = cnt[:, done], st[done]
+            ridx, cnt, st = ridx[keep], cnt[:, keep], st[keep]
+            letters, finished = letters[keep], finished[keep]
 
     # same float cushion as the sequential runner
     if runs and int(stages.max(initial=0)) > table.stage_cap(C) + 2:
         raise AssertionError("variance clock failed to reach C within the hard cap")
 
+    sum_y = _dot(counts, w)
     z = sum_y / math.sqrt(C)
-    return StrongBatch(
-        outcomes=partition.outcomes,
-        C=C,
-        outcome_idx=partition.indices_of(z),
-        stages=stages,
-        z=z,
-        sum_y=sum_y,
-    )
+    return StrongBatch(outcomes=partition.outcomes, C=C, outcome_idx=partition.indices_of(z),
+                       stages=stages, z=z, sum_y=sum_y)
 
 
 @dataclass(frozen=True)
@@ -692,12 +718,3 @@ def calibrate_C(
             return CalibrationResult(epsilon, C0, C, True, runs_per_probe, probes)
     return CalibrationResult(epsilon, C0, None, False, runs_per_probe, probes)
 
-
-def score(a1: int, a2: int, coins: BinaryCoinPair) -> float:
-    """Score of one letter pair under the table built from ``coins``."""
-    return ScoreTable.from_coins(coins).score(a1, a2)
-
-
-def build_partition(nu: ProbabilityVector) -> IntervalPartition:
-    """Quantile partition of the normal line matching ``nu``."""
-    return IntervalPartition(nu)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency, ks_2samp
 
 from jcl import (
     ALPHA,
@@ -18,7 +19,6 @@ from jcl import (
     ScoreTable,
     Stall,
     bind_strong,
-    build_partition,
     calibrate_C,
     default_suite,
     hoeffding_margin,
@@ -26,13 +26,21 @@ from jcl import (
     normal_cdf,
     normal_quantile,
     run_strong,
-    score,
     simulate_strong,
     stage_bound,
 )
 
 COINS = BinaryCoinPair(0.3, 0.7)
+GAME_COINS = BinaryCoinPair(0.6, 0.5)   # the example quitting game's coins
+SKEW_COINS = BinaryCoinPair(0.95, 0.5)
 NU3 = ProbabilityVector.from_dict({"a": 0.2, "b": 0.3, "c": 0.5})
+
+
+def same_outcome_law_p(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample chi-square p-value over the outcome cells either hit."""
+    table = np.array([np.bincount(a, minlength=3), np.bincount(b, minlength=3)])
+    table = table[:, table.sum(axis=0) > 0]
+    return 1.0 if table.shape[1] < 2 else float(chi2_contingency(table)[1])
 
 
 class TestScoreTable:
@@ -85,12 +93,6 @@ class TestScoreTable:
         assert stage_bound(c, 100.0) == math.ceil(100.0 / 0.3**4)
         assert t.stage_cap(100.0) <= stage_bound(c, 100.0)
 
-    def test_score_function_alias(self):
-        t = ScoreTable.from_coins(COINS)
-        for a1 in (ALPHA, BETA):
-            for a2 in (ALPHA, BETA):
-                assert score(a1, a2, COINS) == t.score(a1, a2)
-
 
 class TestIntervalPartition:
     def test_uniform_four_breakpoints(self):
@@ -135,7 +137,7 @@ class TestIntervalPartition:
         )
 
     def test_labels_and_alias(self):
-        part = build_partition(NU3)
+        part = IntervalPartition(NU3)
         assert part.label_of(-10.0) == "a"
         assert part.label_of(10.0) == "c"
         assert part.label_of(0.0) in ("a", "b")
@@ -238,32 +240,42 @@ class TestSimulateStrong:
             simulate_strong(COINS, NU3, 1.0, 10, adversary=Fixed())
 
     @pytest.mark.parametrize(
-        "attack,dev",
+        "coins,C,attack,dev",
         [
-            (Honest(), 1),
-            (Constant(BETA), 1),
-            (Stall(), 2),
-            (Push("a"), 1),
-            (Push("c"), 2),
+            pytest.param(COINS, 10.0, Honest(), 1, id="honest"),
+            pytest.param(COINS, 10.0, Constant(BETA), 1, id="constant-beta"),
+            pytest.param(COINS, 10.0, Stall(), 2, id="stall-d2"),
+            pytest.param(COINS, 10.0, Push("a"), 1, id="push-a"),
+            pytest.param(COINS, 10.0, Push("c"), 2, id="push-c-d2"),
+            pytest.param(GAME_COINS, 10.0, Honest(), 1, id="game-honest"),
+            pytest.param(GAME_COINS, 10.0, Stall(), 1, id="game-stall"),
+            pytest.param(GAME_COINS, 10.0, Constant(ALPHA), 2, id="game-constant-alpha-d2"),
+            pytest.param(GAME_COINS, 10.0, Push("b"), 1, id="game-push-b"),
+            pytest.param(SKEW_COINS, 3.0, Honest(), 1, id="skew-honest"),
+            pytest.param(SKEW_COINS, 3.0, Stall(), 2, id="skew-stall-d2"),
+            pytest.param(SKEW_COINS, 3.0, Constant(BETA), 1, id="skew-constant-beta"),
+            pytest.param(SKEW_COINS, 3.0, Push("c"), 2, id="skew-push-c-d2"),
         ],
-        ids=["honest", "constant-beta", "stall-d2", "push-a", "push-c-d2"],
     )
-    def test_block_jumps_match_stepwise_law(self, attack, dev):
+    def test_block_jumps_match_stepwise_law(self, coins, C, attack, dev):
         # m_cap=1 forces one stage per draw; the block engine must
         # produce the same outcome and stage-count laws
         n = 4000
-        C = 10.0
         fast = simulate_strong(
-            COINS, NU3, C, n, adversary=attack, adversary_device=dev, seed=21
+            coins, NU3, C, n, adversary=attack, adversary_device=dev, seed=21
         )
         slow = simulate_strong(
-            COINS, NU3, C, n, adversary=attack, adversary_device=dev, seed=22, m_cap=1
+            coins, NU3, C, n, adversary=attack, adversary_device=dev, seed=22, m_cap=1
         )
         gap = float(np.max(np.abs(fast.empirical().freq() - slow.empirical().freq())))
         assert gap <= 3.0 * hoeffding_margin(n, 3, 0.01)
         mu_f, mu_s = fast.stages.mean(), slow.stages.mean()
         sd = max(fast.stages.std(), slow.stages.std(), 1.0)
         assert abs(mu_f - mu_s) <= 6.0 * sd / math.sqrt(n)
+        # whole laws, not only means: outcome cells by two-sample
+        # chi-square, stopping stages by two-sample Kolmogorov-Smirnov
+        assert same_outcome_law_p(fast.outcome_idx, slow.outcome_idx) >= 1e-3
+        assert ks_2samp(fast.stages, slow.stages).pvalue >= 1e-3
 
     def test_batch_agrees_with_sequential_runner(self):
         n = 300
@@ -299,6 +311,32 @@ class TestSimulateStrong:
         # honest clock advances 0.0441 per stage on average
         assert small.stages.mean() == pytest.approx(10.0 / 0.0441, rel=0.05)
         assert big.stages.mean() == pytest.approx(40.0 / 0.0441, rel=0.05)
+
+
+class TestOneClock:
+    """Every engine stops by the same pair-count clock."""
+
+    @pytest.mark.parametrize("C,expect", [(30.0, 750), (12.0, 300)])
+    def test_stall_stops_at_one_stage_on_every_path(self, C, expect):
+        # stalling device 1 at coins 0.6/0.5 makes every |w| equal 0.2,
+        # so the stopping stage is a constant that no path may move
+        kw = {"adversary": Stall(), "adversary_device": 1, "seed": 3}
+        block = simulate_strong(GAME_COINS, NU3, C, 200, **kw)
+        step = simulate_strong(GAME_COINS, NU3, C, 200, m_cap=1, **kw)
+        seq = [
+            run_strong(GAME_COINS, NU3, C, s1=Stall(), seed=3, record=False, context=("c", i)).stages
+            for i in range(10)
+        ]
+        assert set(block.stages) == set(step.stages) == set(seq) == {expect}
+
+    @pytest.mark.parametrize("C,expect", [(100.0, 1600), (100.03, 1601)])
+    def test_fair_coins_stop_on_the_exact_stage(self, C, expect):
+        # at coins 0.5/0.5 every squared score is 1/16, exactly
+        coins = BinaryCoinPair(0.5, 0.5)
+        for spec in default_suite(NU3.outcomes.labels):
+            for dev in (1, 2):
+                b = simulate_strong(coins, NU3, C, 100, adversary=spec, adversary_device=dev, seed=4)
+                assert set(b.stages) == {expect}, (spec.name, dev)
 
 
 class TestCalibrate:
