@@ -16,11 +16,8 @@ from .adversaries import (
     Honest,
     Push,
     Stall,
-    constant_adversary,
     default_suite,
-    greedy_push_adversary,
     parse_adversary,
-    stalling_adversary,
 )
 from .core import (
     ALPHA,
@@ -54,7 +51,6 @@ from .game import (
     QuittingGame,
     StallLottery,
     StationaryDesignation,
-    StationaryProfile,
     SunspotProfile,
     build_block_profile,
     deviation_gain,
@@ -64,14 +60,12 @@ from .game import (
     parse_deviation,
     perturb_pure,
     play,
-    quit_immediately,
     simulate_block_profile,
     sunspot_from_dict,
 )
 from .normal import normal_cdf, normal_quantile
 from .stats import (
     EmpiricalDistribution,
-    chi_square,
     hoeffding_margin,
     linf_distance,
     one_sided_excess,

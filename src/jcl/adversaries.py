@@ -1,9 +1,10 @@
 """Adversary strategy suite for single-device attacks.
 
 An adversary controls exactly one device while the other stays honest.
-Each entry here is a declarative spec; the mechanism modules bind a
-spec to concrete decision rules (scalar for transcript runs, array for
-the batch engines) so both paths share one definition.
+Each entry here is a declarative spec.  Each mechanism module writes
+every spec's letter rule once, as one array rule over many runs: the
+batch engine applies it to all its runs, and the per-stage transcript
+runner applies the same rule to one run through an adapter.
 
 The suite is finite and heuristic by design: it refutes broken
 mechanisms cheaply but never proves security.  Names accepted from
@@ -78,22 +79,6 @@ class Stall:
 
 
 AdversarySpec = Honest | Constant | Push | Stall
-
-
-def constant_adversary(letter: int | str) -> Constant:
-    if isinstance(letter, str):
-        letter = letter_from_name(letter)
-    return Constant(letter)
-
-
-def greedy_push_adversary(mechanism_kind: str, target: str) -> Push:
-    if mechanism_kind not in ("strong", "weak"):
-        raise ValueError(f"mechanism_kind must be 'strong' or 'weak', got {mechanism_kind!r}")
-    return Push(target)
-
-
-def stalling_adversary() -> Stall:
-    return Stall()
 
 
 def parse_adversary(name: str) -> AdversarySpec:

@@ -34,9 +34,9 @@ from .game import (
     parse_deviation,
     sunspot_from_dict,
 )
-from .stats import hoeffding_margin, linf_distance, one_sided_excess
+from .stats import EmpiricalDistribution, hoeffding_margin, linf_distance
 from .strong import calibrate_C, simulate_strong
-from .weak import default_max_stages, simulate_weak
+from .weak import WeakBatch, default_max_stages, simulate_weak
 
 log = logging.getLogger("jcl")
 
@@ -133,6 +133,11 @@ def _shard_sizes(runs: int) -> list[int]:
     return sizes
 
 
+def _joined(batches: list, name: str, dtype=np.int64) -> np.ndarray:
+    """One per-run field of a command's shards, in run order."""
+    return np.concatenate([getattr(b, name) for b in batches]) if batches else np.zeros(0, dtype)
+
+
 def _open_out(path: str):
     if path == "-":
         return sys.stdout
@@ -212,9 +217,9 @@ def cmd_lottery_strong(args, cfg: dict) -> int:
         for i, n in enumerate(_shard_sizes(runs))
     ]
     batches = _map_shards(_strong_shard, payloads, args.jobs)
-    outcome_idx = np.concatenate([b.outcome_idx for b in batches]) if batches else np.zeros(0, np.int64)
-    stages = np.concatenate([b.stages for b in batches]) if batches else np.zeros(0, np.int64)
-    z = np.concatenate([b.z for b in batches]) if batches else np.zeros(0)
+    outcome_idx = _joined(batches, "outcome_idx")
+    stages = _joined(batches, "stages")
+    z = _joined(batches, "z", np.float64)
 
     labels = target.outcomes.labels
     rows = (
@@ -223,11 +228,8 @@ def cmd_lottery_strong(args, cfg: dict) -> int:
     )
     _write_rows(args.out, ["run_id", "outcome", "stages", "z_value"], rows)
 
-    if runs:
-        counts = np.bincount(outcome_idx, minlength=target.outcomes.size)
-        linf = float(np.max(np.abs(counts / runs - target.mass)))
-    else:
-        linf = 0.0
+    counts = np.bincount(outcome_idx, minlength=target.outcomes.size)
+    linf = linf_distance(EmpiricalDistribution(target.outcomes, counts), target) if runs else 0.0
     print(f"lottery-strong: runs={runs} C={C!r} linf={linf:.6f}")
     if args.do_assert:
         if eps is None:
@@ -242,24 +244,27 @@ def cmd_lottery_strong(args, cfg: dict) -> int:
     return 0
 
 
-def cmd_lottery_weak(args, cfg: dict) -> int:
-    _check_keys(
-        cfg,
-        {"coins", "target", "adversary", "adversary_device", "eps", "runs", "seed",
-         "max_stages", "window", "faulty_below", "honest_above"},
-        "lottery-weak",
-    )
+def _weak_batch(args, cfg: dict, command: str, *, with_eps: bool, max_stages: int | None):
+    """Config, shards and verdicts of the detecting lottery commands.
+
+    Returns the target, the adversary spec and device, the eps gate
+    (None unless ``with_eps``), the runs joined into one batch, and
+    their verdicts.  ``max_stages=None`` defaults to the lottery's own
+    budget.
+    """
+    keys = {"coins", "target", "adversary", "adversary_device", "runs", "seed",
+            "max_stages", "window", "faulty_below", "honest_above"}
+    _check_keys(cfg, keys | ({"eps"} if with_eps else set()), command)
     coins = _coins(cfg)
     target = _target(cfg)
     spec, device = _adversary(cfg)
-    runs = _int_setting(args.runs, cfg, "runs", what="lottery-weak")
-    seed = _int_setting(args.seed, cfg, "seed", 0, what="lottery-weak")
-    eps = _eps_setting(args, cfg, 0.0)
-    max_stages = _int_setting(
-        args.max_stages, cfg, "max_stages", default_max_stages(coins, target),
-        what="lottery-weak",
-    )
-    window = _int_setting(None, cfg, "window", 1000, what="lottery-weak")
+    runs = _int_setting(args.runs, cfg, "runs", what=command)
+    seed = _int_setting(args.seed, cfg, "seed", 0, what=command)
+    eps = _eps_setting(args, cfg, 0.0) if with_eps else None
+    if max_stages is None:
+        max_stages = default_max_stages(coins, target)
+    max_stages = _int_setting(args.max_stages, cfg, "max_stages", max_stages, what=command)
+    window = _int_setting(None, cfg, "window", 1000, what=command)
     faulty_below = float(cfg.get("faulty_below", 0.1))
     honest_above = float(cfg.get("honest_above", 0.2))
 
@@ -268,21 +273,30 @@ def cmd_lottery_weak(args, cfg: dict) -> int:
         for i, n in enumerate(_shard_sizes(runs))
     ]
     batches = _map_shards(_weak_shard, payloads, args.jobs)
+    batch = WeakBatch(
+        target.outcomes, *(_joined(batches, name) for name in
+                           ("outcome_idx", "stages", "match1", "match2", "window_stages")),
+        window, max_stages,
+    )
+    verdicts = batch.verdicts(faulty_below=faulty_below, honest_above=honest_above)
+    return target, spec, device, eps, batch, verdicts
 
+
+def cmd_lottery_weak(args, cfg: dict) -> int:
+    target, _, _, eps, batch, verdicts = _weak_batch(
+        args, cfg, "lottery-weak", with_eps=True, max_stages=None
+    )
     labels = target.outcomes.labels
-    rows = []
-    for batch in batches:
-        verdicts = batch.verdicts(faulty_below=faulty_below, honest_above=honest_above)
-        for j in range(batch.runs):
-            idx = int(batch.outcome_idx[j])
-            rows.append(
-                (len(rows), labels[idx] if idx >= 0 else "timeout",
-                 int(batch.stages[j]), verdicts[j])
-            )
+    rows = (
+        (i, labels[k] if k >= 0 else "timeout", s, v)
+        for i, (k, s, v) in enumerate(
+            zip(batch.outcome_idx.tolist(), batch.stages.tolist(), verdicts)
+        )
+    )
     _write_rows(args.out, ["run_id", "outcome_or_timeout", "stages", "verdict"], rows)
 
-    outcome_idx = np.concatenate([b.outcome_idx for b in batches]) if batches else np.zeros(0, np.int64)
-    decided = outcome_idx[outcome_idx >= 0]
+    runs = batch.runs
+    decided = batch.outcome_idx[batch.outcome_idx >= 0]
     timeouts = runs - decided.size
     if runs:
         # absorption frequency over all runs: the security bound caps the
@@ -292,7 +306,7 @@ def cmd_lottery_weak(args, cfg: dict) -> int:
     else:
         excess = 0.0
     print(
-        f"lottery-weak: runs={runs} timeouts={timeouts} max_stages={max_stages} "
+        f"lottery-weak: runs={runs} timeouts={timeouts} max_stages={batch.max_stages} "
         f"max_excess={excess:.6f}"
     )
     if args.do_assert:
@@ -307,66 +321,38 @@ def cmd_lottery_weak(args, cfg: dict) -> int:
 
 
 def cmd_detect(args, cfg: dict) -> int:
-    _check_keys(
-        cfg,
-        {"coins", "target", "adversary", "adversary_device", "runs", "seed",
-         "max_stages", "window", "faulty_below", "honest_above"},
-        "detect",
+    _, spec, device, _, batch, verdicts = _weak_batch(
+        args, cfg, "detect", with_eps=False, max_stages=10_000
     )
-    coins = _coins(cfg)
-    target = _target(cfg)
-    spec, device = _adversary(cfg)
-    runs = _int_setting(args.runs, cfg, "runs", what="detect")
-    seed = _int_setting(args.seed, cfg, "seed", 0, what="detect")
-    max_stages = _int_setting(args.max_stages, cfg, "max_stages", 10_000, what="detect")
-    window = _int_setting(None, cfg, "window", 1000, what="detect")
-    faulty_below = float(cfg.get("faulty_below", 0.1))
-    honest_above = float(cfg.get("honest_above", 0.2))
-
-    payloads = [
-        (coins, target, spec, device, seed, i, n, max_stages, window)
-        for i, n in enumerate(_shard_sizes(runs))
-    ]
-    batches = _map_shards(_weak_shard, payloads, args.jobs)
-
+    timed_out = (batch.outcome_idx < 0).tolist()
+    rates = zip(batch.match1.tolist(), batch.match2.tolist(), batch.window_stages.tolist())
     rows = []
-    verdict_all: list[str] = []
-    timed_out_all: list[bool] = []
-    for batch in batches:
-        verdicts = batch.verdicts(faulty_below=faulty_below, honest_above=honest_above)
-        for j in range(batch.runs):
-            timed_out = bool(batch.outcome_idx[j] < 0)
-            ws = int(batch.window_stages[j])
-            r1 = float(batch.match1[j]) / ws if ws else float("nan")
-            r2 = float(batch.match2[j]) / ws if ws else float("nan")
-            rows.append(
-                (len(rows), "true" if timed_out else "false", repr(r1), repr(r2), verdicts[j])
-            )
-            verdict_all.append(verdicts[j])
-            timed_out_all.append(timed_out)
+    for i, (t, (m1, m2, ws), v) in enumerate(zip(timed_out, rates, verdicts)):
+        r1 = m1 / ws if ws else float("nan")
+        r2 = m2 / ws if ws else float("nan")
+        rows.append((i, "true" if t else "false", repr(r1), repr(r2), v))
     _write_rows(
         args.out,
         ["run_id", "timed_out", "match_rate1", "match_rate2", "verdict"],
         rows,
     )
 
-    n_timeout = sum(timed_out_all)
-    print(f"detect: runs={runs} timeouts={n_timeout} adversary={spec.name if spec else 'none'}")
+    n_timeout = sum(timed_out)
+    name = spec.name if spec else "none"
+    print(f"detect: runs={batch.runs} timeouts={n_timeout} adversary={name}")
     if args.do_assert:
         # with an adversary: every timed-out run must blame exactly that
         # device; without one: no run may blame either device
         if spec is not None and spec.name != "honest":
             want = f"device{device}_faulty"
-            bad = [
-                v for v, t in zip(verdict_all, timed_out_all) if t and v != want
-            ]
+            bad = [v for v, t in zip(verdicts, timed_out) if t and v != want]
             ok = not bad and n_timeout > 0
             print(
                 f"gate: {n_timeout} timeouts, {len(bad)} not blamed on {want} -> "
                 f"{'PASS' if ok else 'FAIL'}"
             )
         else:
-            bad = [v for v in verdict_all if v.endswith("_faulty")]
+            bad = [v for v in verdicts if v.endswith("_faulty")]
             ok = not bad
             print(f"gate: {len(bad)} faulty verdicts under honest play -> {'PASS' if ok else 'FAIL'}")
         if not ok:

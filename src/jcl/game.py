@@ -15,6 +15,7 @@ try a finite family of deviations per player and bound the best gain.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .adversaries import AdversarySpec, Constant, Honest, Stall
+from .adversaries import AdversarySpec, Constant, Stall
 from .core import (
     BinaryCoinPair,
     BinaryPartition,
@@ -308,13 +309,15 @@ def horizon_T(
         )
     log_eps = math.log(epsilon)
     stop_at = np.full(samples, -1, dtype=np.int64)
+    laws: list[tuple[tuple[str, ...], list[float]]] = []    # per block, shared by all paths
     for i in range(samples):
         acc = 0.0
         for t in range(t_max):
-            nu = sunspot.designation.probs(t)
-            designee = nu.outcomes.labels[
-                int(np.searchsorted(np.cumsum(nu.mass), rng.random(), side="right"))
-            ]
+            if t == len(laws):
+                nu = sunspot.designation.probs(t)
+                laws.append((nu.outcomes.labels, np.cumsum(nu.mass).tolist()))
+            labels, cum = laws[t]
+            designee = labels[bisect.bisect_right(cum, rng.random())]
             if designee != NOBODY:
                 e = _eta_value(eta, t, designee)
                 if e > 0.0:
@@ -508,10 +511,6 @@ class StallLottery:
 Deviation = QuitAtBlock | ConstantContinue | StallLottery
 
 
-def quit_immediately() -> QuitAtBlock:
-    return QuitAtBlock(1)
-
-
 def parse_deviation(name: str) -> Deviation:
     if name == "quit-immediately":
         return QuitAtBlock(1)
@@ -529,33 +528,12 @@ def parse_deviation(name: str) -> Deviation:
 
 
 @dataclass(frozen=True)
-class StationaryProfile:
-    """Everyone repeats one fixed mixed action over their full space."""
-
-    game: QuittingGame
-    actions: dict[str, ProbabilityVector]
-
-    def __post_init__(self):
-        for p in self.game.players:
-            pv = self.actions[p]
-            if pv.outcomes.labels != self.game.action_space(p):
-                raise ValueError(
-                    f"stationary mixing of {p} must be over continue actions plus {QUIT!r}"
-                )
-
-
-@dataclass(frozen=True)
 class PlayResult:
     absorbed: bool
     stage: int | None           # 1-based stage of the first quit
-    block: int | None           # 1-based block, block profiles only
+    block: int | None           # 1-based block
     actions: dict[str, str] | None
     payoff: np.ndarray
-
-
-def _sample_label(pv: ProbabilityVector, rng: np.random.Generator) -> str:
-    i = int(np.searchsorted(np.cumsum(pv.mass), rng.random(), side="right"))
-    return pv.outcomes.labels[min(i, pv.outcomes.size - 1)]
 
 
 def _lottery_specs(
@@ -578,22 +556,19 @@ def _lottery_specs(
 
 
 def play(
-    profile: BlockProfile | StationaryProfile,
+    profile: BlockProfile,
     deviator: tuple[str, Deviation] | None = None,
     *,
     seed: int = 0,
-    horizon_stages: int = 10_000,
     context: tuple = (),
 ) -> PlayResult:
-    """Play one full game run stage by stage.
+    """Play one full game run stage by stage over the profile's T blocks.
 
-    For a block profile the horizon is its T blocks; for a stationary
-    profile ``horizon_stages`` caps the run.  A non-absorbed run's
-    payoff is the exact expected stage payoff of the continuing play,
-    which is what its running average converges to.
+    Absorption draws the other players' actions exactly as the batch
+    does.  A non-absorbed run's payoff is the exact expected stage
+    payoff of the continuing play, which is what its running average
+    converges to.
     """
-    if isinstance(profile, StationaryProfile):
-        return _play_stationary(profile, seed, horizon_stages, context)
     game = profile.game
     if deviator is not None:
         _validate_deviator(profile, deviator)
@@ -601,6 +576,13 @@ def play(
     spec, spec_device = _lottery_specs(profile, deviator)
     s1 = spec if spec is not None and spec_device == 1 else None
     s2 = spec if spec is not None and spec_device == 2 else None
+
+    def absorbed(quitter: str, stage: int, block: int) -> PlayResult:
+        quitter_idx = np.array([game.players.index(quitter)])
+        acts, payoff = _absorb(profile, harness, quitter_idx, deviator)
+        actions = {p: game.action_space(p)[i] for p, i in zip(game.players, acts[0])}
+        return PlayResult(True, stage, block, actions, payoff[0])
+
     stage = 0
     for t in range(profile.T):
         nu_t = profile.sunspot.designation.probs(t)
@@ -609,8 +591,7 @@ def play(
 
         if deviator is not None and isinstance(deviator[1], QuitAtBlock) \
                 and deviator[1].block == t + 1:
-            actions = _absorption_actions(profile, deviator[0], deviator, harness)
-            return PlayResult(True, stage + 1, t + 1, actions, game.payoff(actions))
+            return absorbed(deviator[0], stage + 1, t + 1)
 
         lottery = run_strong(
             profile.coins, nu_t, profile.C, s1, s2,
@@ -624,8 +605,7 @@ def play(
             quit_now = harness.random() < e
         stage += 1
         if quit_now:
-            actions = _absorption_actions(profile, designee, deviator, harness)
-            return PlayResult(True, stage, t + 1, actions, game.payoff(actions))
+            return absorbed(designee, stage, t + 1)
     payoff = _continue_payoff(profile, deviator)
     return PlayResult(False, None, None, None, payoff)
 
@@ -646,24 +626,6 @@ def _validate_deviator(profile: BlockProfile, deviator: tuple[str, Deviation]) -
         )
 
 
-def _absorption_actions(
-    profile: BlockProfile,
-    quitter: str,
-    deviator: tuple[str, Deviation] | None,
-    rng: np.random.Generator,
-) -> dict[str, str]:
-    actions: dict[str, str] = {}
-    for p in profile.game.players:
-        if p == quitter:
-            actions[p] = QUIT
-        elif deviator is not None and p == deviator[0] \
-                and isinstance(deviator[1], ConstantContinue):
-            actions[p] = deviator[1].action
-        else:
-            actions[p] = _sample_label(profile.x_prime[p], rng)
-    return actions
-
-
 def _continue_payoff(profile: BlockProfile, deviator: tuple[str, Deviation] | None) -> np.ndarray:
     behavior: dict[str, ProbabilityVector | str] = {
         p: profile.x_prime[p] for p in profile.game.players
@@ -671,32 +633,6 @@ def _continue_payoff(profile: BlockProfile, deviator: tuple[str, Deviation] | No
     if deviator is not None and isinstance(deviator[1], ConstantContinue):
         behavior[deviator[0]] = deviator[1].action
     return profile.game.expected_payoff(behavior)
-
-
-def _play_stationary(
-    profile: StationaryProfile,
-    seed: int,
-    horizon_stages: int,
-    context: tuple,
-) -> PlayResult:
-    if horizon_stages < 1:
-        raise ValueError(f"horizon_stages must be positive, got {horizon_stages}")
-    game = profile.game
-    rng = substream(seed, *context, "game")
-    for stage in range(1, horizon_stages + 1):
-        actions = {p: _sample_label(profile.actions[p], rng) for p in game.players}
-        if any(a == QUIT for a in actions.values()):
-            return PlayResult(True, stage, None, actions, game.payoff(actions))
-    # run kept continuing: exact expected stage payoff of the continue part
-    behavior: dict[str, ProbabilityVector | str] = {}
-    for p in game.players:
-        pv = profile.actions[p]
-        cont = pv.mass[:-1]
-        total = float(cont.sum())
-        if total <= 0.0:
-            raise ValueError(f"{p} always quits; a non-absorbed run cannot occur")
-        behavior[p] = ProbabilityVector(game.continue_actions[p], cont / total)
-    return PlayResult(False, None, None, None, game.expected_payoff(behavior))
 
 
 @dataclass(frozen=True)
@@ -763,7 +699,7 @@ def simulate_block_profile(
         if deviator is not None and isinstance(deviator[1], QuitAtBlock) \
                 and deviator[1].block == t + 1:
             dev_idx = players.index(deviator[0])
-            _absorb(profile, harness, payoff, idx, np.full(idx.size, dev_idx), deviator)
+            _, payoff[idx] = _absorb(profile, harness, np.full(idx.size, dev_idx), deviator)
             block[idx] = t + 1
             quitter[idx] = dev_idx
             active[idx] = False
@@ -796,7 +732,7 @@ def simulate_block_profile(
             continue
         rows = des_rows[quits]
         who = des_who[quits]
-        _absorb(profile, harness, payoff, rows, who, deviator)
+        _, payoff[rows] = _absorb(profile, harness, who, deviator)
         block[rows] = t + 1
         quitter[rows] = who
         active[rows] = False
@@ -810,15 +746,18 @@ def simulate_block_profile(
 def _absorb(
     profile: BlockProfile,
     rng: np.random.Generator,
-    payoff: np.ndarray,
-    rows: np.ndarray,
     quitter_idx: np.ndarray,
     deviator: tuple[str, Deviation] | None,
-) -> None:
-    """Fill realized absorption payoffs for the given runs."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Realized absorption of runs whose quitters are ``quitter_idx``.
+
+    Every other player draws a continue action from x' (a constant
+    continue deviator plays its action).  Returns the action indices,
+    shape (runs, players), and the payoff vectors.
+    """
     game = profile.game
     players = game.players
-    k = rows.size
+    k = quitter_idx.size
     action_idx = np.empty((k, len(players)), dtype=np.int64)
     for j, p in enumerate(players):
         if deviator is not None and p == deviator[0] and isinstance(deviator[1], ConstantContinue):
@@ -831,7 +770,7 @@ def _absorb(
     quit_pos = np.array([len(game.action_space(p)) - 1 for p in players], dtype=np.int64)
     action_idx[np.arange(k), quitter_idx] = quit_pos[quitter_idx]
     tensor = game.payoff_tensor
-    payoff[rows] = tensor[tuple(action_idx[:, j] for j in range(len(players)))]
+    return action_idx, tensor[tuple(action_idx[:, j] for j in range(len(players)))]
 
 
 @dataclass(frozen=True)
@@ -854,7 +793,7 @@ def _ci_half_width(n: int) -> float:
 
 
 def estimate_payoff(
-    profile: BlockProfile | StationaryProfile,
+    profile: BlockProfile,
     n_runs: int,
     *,
     deviator: tuple[str, Deviation] | None = None,
@@ -864,58 +803,8 @@ def estimate_payoff(
     """Monte Carlo payoff vector with a per-coordinate confidence bound."""
     if n_runs < 1:
         raise ValueError(f"n_runs must be positive, got {n_runs}")
-    if isinstance(profile, StationaryProfile):
-        if deviator is not None:
-            raise ValueError("deviations are defined for block profiles only")
-        payoffs = _simulate_stationary(profile, n_runs, seed=seed, context=context)
-        return PayoffEstimate(payoffs.mean(axis=0), _ci_half_width(n_runs), n_runs)
     sim = simulate_block_profile(profile, n_runs, deviator=deviator, seed=seed, context=context)
     return PayoffEstimate(sim.payoff.mean(axis=0), _ci_half_width(n_runs), n_runs)
-
-
-def _simulate_stationary(
-    profile: StationaryProfile,
-    runs: int,
-    *,
-    seed: int = 0,
-    context: tuple = (),
-    horizon_stages: int = 10_000,
-) -> np.ndarray:
-    game = profile.game
-    players = game.players
-    rng = substream(seed, *context, "game")
-    payoff = np.zeros((runs, len(players)))
-    active = np.ones(runs, dtype=bool)
-    quit_pos = {p: len(game.action_space(p)) - 1 for p in players}
-    for _ in range(horizon_stages):
-        if not np.any(active):
-            break
-        idx = np.nonzero(active)[0]
-        action_idx = np.empty((idx.size, len(players)), dtype=np.int64)
-        for j, p in enumerate(players):
-            cum = np.cumsum(profile.actions[p].mass)
-            draws = np.searchsorted(cum, rng.random(idx.size), side="right")
-            action_idx[:, j] = np.minimum(draws, len(game.action_space(p)) - 1)
-        quit_mask = np.zeros(idx.size, dtype=bool)
-        for j, p in enumerate(players):
-            quit_mask |= action_idx[:, j] == quit_pos[p]
-        if np.any(quit_mask):
-            rows = idx[quit_mask]
-            sel = action_idx[quit_mask]
-            tensor = game.payoff_tensor
-            payoff[rows] = tensor[tuple(sel[:, j] for j in range(len(players)))]
-            active[rows] = False
-    if np.any(active):
-        behavior: dict[str, ProbabilityVector | str] = {}
-        for p in players:
-            pv = profile.actions[p]
-            cont = pv.mass[:-1]
-            total = float(cont.sum())
-            if total <= 0.0:
-                raise ValueError(f"{p} always quits; a non-absorbed run cannot occur")
-            behavior[p] = ProbabilityVector(game.continue_actions[p], cont / total)
-        payoff[active] = game.expected_payoff(behavior)
-    return payoff
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,7 @@ helpers used by every verification gate in the package.
 
 All bounds are distribution-free: the simultaneous deviation margin is
 a union-bounded Hoeffding interval, and the one-sided excess feeds the
-"no label can be pushed above its target mass" security checks.  The
-chi-square statistic is reported for diagnostics only and is never a
-gate.
+"no label can be pushed above its target mass" security checks.
 """
 
 from __future__ import annotations
@@ -36,10 +34,6 @@ class EmpiricalDistribution:
         self.counts = counts
 
     @classmethod
-    def zeros(cls, outcomes: OutcomeSet) -> "EmpiricalDistribution":
-        return cls(outcomes, np.zeros(outcomes.size, dtype=np.int64))
-
-    @classmethod
     def from_indices(cls, outcomes: OutcomeSet, idx: np.ndarray) -> "EmpiricalDistribution":
         """Tally outcome indices; entries < 0 (non-outcomes) are ignored."""
         idx = np.asarray(idx)
@@ -49,13 +43,6 @@ class EmpiricalDistribution:
             raise ValueError("outcome index out of range")
         return cls(outcomes, counts.astype(np.int64))
 
-    @classmethod
-    def from_labels(cls, outcomes: OutcomeSet, labels) -> "EmpiricalDistribution":
-        counts = np.zeros(outcomes.size, dtype=np.int64)
-        for l in labels:
-            counts[outcomes.index(l)] += 1
-        return cls(outcomes, counts)
-
     @property
     def n(self) -> int:
         return int(self.counts.sum())
@@ -64,11 +51,6 @@ class EmpiricalDistribution:
         if self.n == 0:
             raise ValueError("empirical frequencies are undefined on zero samples")
         return self.counts / self.n
-
-    def merge(self, other: "EmpiricalDistribution") -> "EmpiricalDistribution":
-        if other.outcomes != self.outcomes:
-            raise ValueError("cannot merge distributions over different outcome sets")
-        return EmpiricalDistribution(self.outcomes, self.counts + other.counts)
 
 
 def _check_target(emp: EmpiricalDistribution, target: ProbabilityVector) -> None:
@@ -102,34 +84,3 @@ def hoeffding_margin(n: int, num_labels: int, delta: float) -> float:
     if not (0.0 < delta < 1.0):
         raise ValueError(f"confidence parameter delta must lie in (0, 1), got {delta!r}")
     return math.sqrt(math.log(2.0 * num_labels / delta) / (2.0 * n))
-
-
-def chi_square(emp: EmpiricalDistribution, target: ProbabilityVector) -> float:
-    """Pearson statistic against the target; diagnostic only.
-
-    Zero-mass labels with zero observations contribute nothing; any
-    observation on a zero-mass label makes the statistic infinite.
-    """
-    _check_target(emp, target)
-    expected = target.mass * emp.n
-    stat = 0.0
-    for obs, exp in zip(emp.counts, expected):
-        if exp == 0.0:
-            if obs:
-                return math.inf
-            continue
-        stat += (obs - exp) ** 2 / exp
-    return float(stat)
-
-
-def report(emp: EmpiricalDistribution, target: ProbabilityVector, delta: float = 0.01) -> dict:
-    """Verification report with the standard keys."""
-    margin = hoeffding_margin(emp.n, emp.outcomes.size, delta)
-    return {
-        "n": emp.n,
-        "freq": {l: float(f) for l, f in zip(emp.outcomes.labels, emp.freq())},
-        "linf": linf_distance(emp, target),
-        "margin": margin,
-        "excess": {l: float(e) for l, e in zip(emp.outcomes.labels, one_sided_excess(emp, target))},
-        "chi2": chi_square(emp, target),
-    }

@@ -15,15 +15,20 @@ than an amount that vanishes as ``C`` grows.
 Two execution paths share the same definitions: :func:`run_strong`
 plays one run stage by stage and can record a transcript, while
 :func:`simulate_strong` advances many runs at once and is exact in
-distribution, not an approximation.  Each run jumps a block sized by
-its own letter law, the largest ``m`` with ``m*mu + 4*sigma*sqrt(m)``
-inside the remaining budget, and draws the block's pair counts from
-binomial chains.  Runs with only a few dozen stages left finish in
-windows of per-stage draws, and the rare block that does cross the
-budget is bisected by hypergeometric splits down to its exact stop.
-Both paths keep integer pair counts and stop by one clock, the counts
-dotted with the squared scores, so a letter sequence stops at the same
-stage whichever path plays it.
+distribution, not an approximation.  Each adversary spec's letter
+rule lives only in its :class:`_StrongPlan`: the batch engine steers
+its active runs with the plan, and :func:`run_strong` steers a single
+run with the same plan through :class:`BoundStrongAdversary`.
+
+The batch engine jumps each run a block sized by its own letter law,
+the largest ``m`` with ``m*mu + 4*sigma*sqrt(m)`` inside the remaining
+budget, and draws the block's pair counts from binomial chains.  Runs
+with only a few dozen stages left finish in windows of per-stage
+draws, and the rare block that does cross the budget is bisected by
+hypergeometric splits down to its exact stop.  Both paths keep
+integer pair counts and stop by one clock, the counts dotted with the
+squared scores, so a letter sequence stops at the same stage whichever
+path plays it.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversaries import AdversarySpec, Constant, Honest, Push, Stall
+from .adversaries import AdversarySpec, Constant, Honest, Stall
 from .core import (
     ALPHA,
     BETA,
@@ -212,87 +217,96 @@ class _StrongView:
     C: float
     table: ScoreTable
     partition: IntervalPartition
+    counts: list[int] = field(default_factory=lambda: [0, 0, 0, 0])  # pair order
     sum_y: float = 0.0
     sum_y2: float = 0.0
 
 
-class BoundStrongAdversary:
-    """One adversary spec bound to a device of the bounded lottery."""
+@dataclass(frozen=True)
+class _StrongPlan:
+    """The one definition of an adversary spec's letter rule, bound to a
+    device and budget of the bounded lottery.
 
-    def __init__(
-        self,
-        spec: AdversarySpec,
-        device: int,
-        table: ScoreTable,
-        partition: IntervalPartition,
-        C: float,
-    ):
+    The device is always in one of three states, alpha (0), beta (1) or
+    its own coin (2); ``p_of`` holds each state's alpha probability and
+    every run starts in ``start``.  Only the push rule ever changes
+    state: it reviews every ``review`` stages and holds its letter in
+    between, so any block inside one review window is exactly a run of
+    i.i.d. letters.  The window is about 1/32 of the expected honest
+    run, and the finish radius ``reach`` is the diffusion scale of one
+    window (at least one maximal score), past which further steering
+    cannot help.
+    """
+
+    p_of: np.ndarray
+    start: int
+    w: np.ndarray
+    review: int = 0         # 0: the state never changes
+    aim_sum: float = 0.0
+    reach: float = 0.0
+    f_pos: int = ALPHA
+    f_neg: int = ALPHA
+
+    @classmethod
+    def bind(cls, spec: AdversarySpec, device: int, table: ScoreTable,
+             partition: IntervalPartition, C: float) -> "_StrongPlan":
         if device not in (1, 2):
             raise ValueError(f"device must be 1 or 2, got {device}")
-        self.spec = spec
-        self.device = device
-        self.table = table
-        self._honest_p = table.coins.prob(device, ALPHA)
+        p_of = np.array([1.0, 0.0, table.coins.prob(device, ALPHA)])
+        if isinstance(spec, Honest):
+            return cls(p_of, 2, table.flat)
+        if isinstance(spec, Constant):
+            return cls(p_of, spec.letter, table.flat)
         if isinstance(spec, Stall):
-            self._fixed = table.stall_letter(device)
-        elif isinstance(spec, Constant):
-            self._fixed = spec.letter
-        else:
-            self._fixed = None
-        if isinstance(spec, Push):
-            (self.aim_sum, self._pos, self._neg, self._rush,
-             self._review, self._reach) = _push_plan(table, partition, spec, device, C)
-            self._finished = False
-            self._letter = self._rush
+            return cls(p_of, table.stall_letter(device), table.flat)
+        # push starts on, and finishes with, the letter that advances the
+        # clock fastest
+        idx = partition.outcomes.index(spec.target)
+        aim_z = min(_AIM_CLAMP, max(-_AIM_CLAMP, partition.aim(idx)))
+        rush = table.rush_letter(device)
+        window = max(1, round(C / table.honest_second_moment() / 32.0))
+        reach = max(table.max_abs, math.sqrt(window * table.second_moment_given(device, rush)))
+        f_pos, f_neg = _far_letters(table, device)
+        return cls(p_of, rush, table.flat, window, aim_z * math.sqrt(C), reach, f_pos, f_neg)
+
+    def steer(self, st: np.ndarray, counts: np.ndarray, state: np.ndarray,
+              finished: np.ndarray, cap: int) -> np.ndarray:
+        """Review the runs due after ``st`` stages, then return how many
+        stages each run may hold its state, at most ``cap``.
+
+        A push run plays the letter most likely to step toward the aim
+        while its sum is far from it, then races the clock for good so
+        the sum cannot diffuse back out of the target cell.  ``counts``
+        are the pair counts, pair-first; ``state`` and ``finished`` are
+        updated in place.
+        """
+        if not self.review:
+            return np.full(st.size, cap)
+        due = ~finished & (st % self.review == 0)
+        if np.any(due):
+            d = self.aim_sum - _dot(counts[:, due], self.w)
+            now = np.abs(d) <= self.reach
+            finished[due] = now
+            state[due] = np.where(now, self.start, np.where(d > 0, self.f_pos, self.f_neg))
+        # finished runs keep one letter forever and may jump to the budget
+        return np.where(finished, cap, np.minimum(self.review - st % self.review, cap))
+
+
+class BoundStrongAdversary:
+    """Per-stage adapter of one spec's :class:`_StrongPlan` for
+    :func:`run_strong`: the plan applied to one-run arrays."""
+
+    def __init__(self, spec: AdversarySpec, device: int, table: ScoreTable,
+                 partition: IntervalPartition, C: float):
+        self.plan = _StrongPlan.bind(spec, device, table, partition, C)
 
     def prob_alpha(self, ctx: StageContext) -> float:
-        spec = self.spec
-        if isinstance(spec, Honest):
-            return self._honest_p
-        if self._fixed is not None:
-            return 1.0 if self._fixed == ALPHA else 0.0
-        # push: steer toward the aim while far, then race the clock so
-        # the sum cannot diffuse back out of the target cell; state is
-        # re-examined only at review stages and frozen in between
         if ctx.stage == 0:
-            self._finished = False
-        if not self._finished and ctx.stage % self._review == 0:
-            d = self.aim_sum - ctx.mech.sum_y
-            if abs(d) <= self._reach:
-                self._finished = True
-            else:
-                self._letter = self._pos if d > 0 else self._neg
-        if self._finished:
-            return 1.0 if self._rush == ALPHA else 0.0
-        return 1.0 if self._letter == ALPHA else 0.0
-
-
-def _push_plan(
-    table: ScoreTable,
-    partition: "IntervalPartition",
-    spec: Push,
-    device: int,
-    C: float,
-) -> tuple[float, int, int, int, int, float]:
-    """Frozen parameters of the push rule for one device and budget.
-
-    The rule reviews its state every K stages and holds its letter in
-    between, so any block inside one review window is exactly a run of
-    i.i.d. letters.  K is about 1/32 of the expected honest run, and
-    the finish radius is the diffusion scale of one window (at least
-    one maximal score), past which further steering cannot help.
-    """
-    idx = partition.outcomes.index(spec.target)
-    aim_z = min(_AIM_CLAMP, max(-_AIM_CLAMP, partition.aim(idx)))
-    aim_sum = aim_z * math.sqrt(C)
-    f_pos, f_neg = _far_letters(table, device)
-    rush = table.rush_letter(device)
-    window = max(1, round(C / table.honest_second_moment() / 32.0))
-    reach = max(
-        table.max_abs,
-        math.sqrt(window * table.second_moment_given(device, rush)),
-    )
-    return aim_sum, f_pos, f_neg, rush, window, reach
+            self._state = np.full(1, self.plan.start)
+            self._finished = np.zeros(1, dtype=bool)
+        counts = np.array(ctx.mech.counts).reshape(4, 1)
+        self.plan.steer(np.full(1, ctx.stage), counts, self._state, self._finished, 1)
+        return float(self.plan.p_of[self._state[0]])
 
 
 def _far_letters(table: ScoreTable, device: int) -> tuple[int, int]:
@@ -318,7 +332,7 @@ def bind_strong(
     C: float,
 ) -> DeviceStrategy:
     """Turn a spec into a per-stage strategy; pass strategies through."""
-    if isinstance(spec, (Honest, Constant, Push, Stall)):
+    if isinstance(spec, AdversarySpec):
         return BoundStrongAdversary(spec, device, table, partition, C)
     if hasattr(spec, "prob_alpha"):
         return spec
@@ -365,7 +379,7 @@ def run_strong(
     letters2: list[int] = []
     w = tuple(float(v) for v in table.flat)
     w2 = tuple(v * v for v in w)
-    counts = [0, 0, 0, 0]
+    counts = view.counts
     # Two extra stages of slack: a run advancing at exactly the minimum
     # increment lands on the cap, and rounding in the clock can shift
     # the crossing by a stage.
@@ -558,8 +572,9 @@ def simulate_strong(
     table = ScoreTable.from_coins(coins)
     partition = IntervalPartition(target)
     spec = adversary if adversary is not None else Honest()
-    if not isinstance(spec, (Honest, Constant, Push, Stall)):
+    if not isinstance(spec, AdversarySpec):
         raise TypeError(f"batch engine needs an adversary spec, got {spec!r}")
+    plan = _StrongPlan.bind(spec, adversary_device, table, partition, C)
 
     dev1, dev2, harness = device_streams(seed, *context)
     w = table.flat.copy()
@@ -570,43 +585,23 @@ def simulate_strong(
     cap = min(cap, M_MAX)
     honest = coins.prob(3 - adversary_device, ALPHA)
 
-    # adversary states: 0 plays alpha, 1 plays beta, 2 plays its own coin;
-    # per state, the mean and deviation of one stage's clock advance
-    p_of = np.array([1.0, 0.0, coins.prob(adversary_device, ALPHA)])
+    # per adversary state, the mean and deviation of one stage's clock advance
+    p_of = plan.p_of
     pair = _pair_probs(p_of, honest) if adversary_device == 1 else _pair_probs(honest, p_of)
     mu_of = pair @ w2
     sd_of = np.sqrt(np.maximum(pair @ (w2 * w2) - mu_of * mu_of, 0.0))
-    push = isinstance(spec, Push)
-    if push:
-        aim_sum, f_pos, f_neg, rush, review, reach = _push_plan(
-            table, partition, spec, adversary_device, C
-        )
-        state = rush
-    elif isinstance(spec, Honest):
-        state = 2
-    else:
-        state = spec.letter if isinstance(spec, Constant) else table.stall_letter(adversary_device)
 
     # results fill in as runs stop; the runs still playing are compacted
     counts, stages = np.empty((4, runs), dtype=np.int64), np.empty(runs, dtype=np.int64)
     ridx, cnt, st = np.arange(runs), np.zeros((4, runs), dtype=np.int64), np.zeros(runs, dtype=np.int64)
-    letters, finished = np.full(runs, state), np.zeros(runs, dtype=bool)
+    state, finished = np.full(runs, plan.start), np.zeros(runs, dtype=bool)
 
     while ridx.size:
-        limit = np.full(ridx.size, cap)
-        if push:
-            due = ~finished & (st % review == 0)
-            if np.any(due):
-                d = aim_sum - _dot(cnt[:, due], w)
-                now = np.abs(d) <= reach
-                finished[due] = now
-                letters[due] = np.where(now, rush, np.where(d > 0, f_pos, f_neg))
-            # blocks must not cross a review stage; finished lanes keep
-            # one letter forever and can jump straight to the budget
-            limit = np.where(finished, cap, np.minimum(review - st % review, cap))
+        # blocks must not cross a review stage of the adversary's plan
+        limit = plan.steer(st, cnt, state, finished, cap)
         p = np.full((2, ridx.size), honest)
-        p[adversary_device - 1] = p_of[letters]
-        m = np.minimum(_jump_sizes(C - _dot(cnt, w2), mu_of[letters], sd_of[letters]), limit)
+        p[adversary_device - 1] = p_of[state]
+        m = np.minimum(_jump_sizes(C - _dot(cnt, w2), mu_of[state], sd_of[state]), limit)
         done = np.zeros(ridx.size, dtype=bool)
 
         tail = m < _TAIL_MIN
@@ -627,7 +622,7 @@ def simulate_strong(
             g, keep = ridx[done], ~done
             counts[:, g], stages[g] = cnt[:, done], st[done]
             ridx, cnt, st = ridx[keep], cnt[:, keep], st[keep]
-            letters, finished = letters[keep], finished[keep]
+            state, finished = state[keep], finished[keep]
 
     # same float cushion as the sequential runner
     if runs and int(stages.max(initial=0)) > table.stage_cap(C) + 2:

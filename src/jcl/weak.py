@@ -15,12 +15,18 @@ the bounded clock is that a dishonest device can stall forever, but
 only by avoiding its own binding letter, a behavior any observer can
 read off the public transcript: that is what :func:`detect_fault`
 does.
+
+:func:`run_weak` plays one run stage by stage with a transcript and
+:func:`simulate_weak` advances many runs in lockstep.  Both read each
+adversary spec's letter rule from its :class:`_WeakPolicy`, over the
+successor arrays of one run or of all active runs, and both blame by
+one checked verdict rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +41,7 @@ from .core import (
     StageContext,
     Transcript,
     device_streams,
+    sample_stage,
 )
 from .stats import EmpiricalDistribution
 from .strong import ScoreTable
@@ -98,6 +105,15 @@ def _successor_arrays(lam: np.ndarray, w: np.ndarray):
     return d, s, j_plus, j_minus, binding
 
 
+def _shrink_letter(binding, device: int):
+    """A device's half of binding pair indices ``2*a1 + a2`` (int or array)."""
+    if device == 1:
+        return binding >> 1
+    if device == 2:
+        return binding & 1
+    raise ValueError(f"device must be 1 or 2, got {device}")
+
+
 def _as_table(coins: BinaryCoinPair | ScoreTable) -> ScoreTable:
     if isinstance(coins, ScoreTable):
         return coins
@@ -117,11 +133,7 @@ class SuccessorMap:
 
     def shrink_letter(self, device: int) -> int:
         """The device's half of the binding pair."""
-        if device == 1:
-            return self.binding_pair >> 1
-        if device == 2:
-            return self.binding_pair & 1
-        raise ValueError(f"device must be 1 or 2, got {device}")
+        return _shrink_letter(self.binding_pair, device)
 
     def successor(self, a1: int, a2: int) -> np.ndarray:
         return self.d[2 * a1 + a2]
@@ -177,37 +189,51 @@ class _WeakView:
     stage: int = 0
 
 
-class BoundWeakAdversary:
-    """One adversary spec bound to a device of the detecting lottery."""
+@dataclass(frozen=True)
+class _WeakPolicy:
+    """The one definition of an adversary spec's letter rule, bound to a
+    device of the detecting lottery."""
 
-    def __init__(self, spec: AdversarySpec, device: int, table: ScoreTable, outcomes: OutcomeSet):
+    spec: AdversarySpec
+    device: int
+    honest: float       # the device's own alpha probability
+    target: int = -1    # push: the target label's coordinate
+
+    @classmethod
+    def bind(cls, spec: AdversarySpec, device: int, coins: BinaryCoinPair,
+             outcomes: OutcomeSet) -> "_WeakPolicy":
         if device not in (1, 2):
             raise ValueError(f"device must be 1 or 2, got {device}")
-        self.spec = spec
-        self.device = device
-        self._honest_p = table.coins.prob(device, ALPHA)
-        self._target_idx = outcomes.index(spec.target) if isinstance(spec, Push) else None
+        target = outcomes.index(spec.target) if isinstance(spec, Push) else -1
+        return cls(spec, device, coins.prob(device, ALPHA), target)
 
-    def prob_alpha(self, ctx: StageContext) -> float:
+    def p_alpha(self, d: np.ndarray, binding: np.ndarray) -> np.ndarray:
+        """Alpha probability per run, given that stage's successors ``d``
+        (runs, 4, J) and binding pairs (runs,)."""
         spec = self.spec
         if isinstance(spec, Honest):
-            return self._honest_p
+            return np.full(binding.size, self.honest)
         if isinstance(spec, Constant):
-            return 1.0 if spec.letter == ALPHA else 0.0
-        m: SuccessorMap = ctx.mech.map
+            return np.full(binding.size, 1.0 if spec.letter == ALPHA else 0.0)
         if isinstance(spec, Stall):
             # refuse the binding letter: the only way to delay forever
-            letter = BETA if m.shrink_letter(self.device) == ALPHA else ALPHA
-            return 1.0 if letter == ALPHA else 0.0
-        # push: own letter whose best-case successor favors the target
-        t = self._target_idx
-        if self.device == 1:
-            va = max(m.d[0, t], m.d[1, t])
-            vb = max(m.d[2, t], m.d[3, t])
-        else:
-            va = max(m.d[0, t], m.d[2, t])
-            vb = max(m.d[1, t], m.d[3, t])
-        return 1.0 if va >= vb else 0.0
+            return np.where(_shrink_letter(binding, self.device) == BETA, 1.0, 0.0)
+        # push: own letter whose best-case successor favors the target;
+        # the target's successor masses indexed [run, a1, a2]
+        best = d[:, :, self.target].reshape(-1, 2, 2).max(axis=3 - self.device)
+        return np.where(best[:, ALPHA] >= best[:, BETA], 1.0, 0.0)
+
+
+class BoundWeakAdversary:
+    """Per-stage adapter of one spec's :class:`_WeakPolicy` for
+    :func:`run_weak`: the policy applied to one successor map."""
+
+    def __init__(self, spec: AdversarySpec, device: int, table: ScoreTable, outcomes: OutcomeSet):
+        self.policy = _WeakPolicy.bind(spec, device, table.coins, outcomes)
+
+    def prob_alpha(self, ctx: StageContext) -> float:
+        m: SuccessorMap = ctx.mech.map
+        return float(self.policy.p_alpha(m.d[None], np.array([m.binding_pair]))[0])
 
 
 def bind_weak(
@@ -216,7 +242,7 @@ def bind_weak(
     table: ScoreTable,
     outcomes: OutcomeSet,
 ) -> DeviceStrategy:
-    if isinstance(spec, (Honest, Constant, Push, Stall)):
+    if isinstance(spec, AdversarySpec):
         return BoundWeakAdversary(spec, device, table, outcomes)
     if hasattr(spec, "prob_alpha"):
         return spec
@@ -275,12 +301,7 @@ def run_weak(
         view.stage = stage
         ctx1 = StageContext(1, stage, letters1, letters2, view)
         ctx2 = StageContext(2, stage, letters2, letters1, view)
-        p1 = float(st1.prob_alpha(ctx1))
-        p2 = float(st2.prob_alpha(ctx2))
-        if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
-            raise ValueError("strategy returned a probability outside [0, 1]")
-        a1 = ALPHA if rng1.random() < p1 else BETA
-        a2 = ALPHA if rng2.random() < p2 else BETA
+        a1, a2 = sample_stage(st1, st2, ctx1, ctx2, rng1, rng2)
         letters1.append(a1)
         letters2.append(a2)
         if record:
@@ -311,27 +332,28 @@ class DetectionVerdict:
     window_stages: int
 
 
-def _verdict_from_counts(
-    match1: float,
-    match2: float,
-    window_stages: int,
-    window: int,
-    terminated: bool,
-    faulty_below: float,
-    honest_above: float,
-) -> str:
-    """Decision rule shared by single-run and batch detection."""
-    if terminated:
-        return "none"
-    if window_stages < window:
+def _verdict_rule(window: int, faulty_below: float, honest_above: float):
+    """Checked decision rule shared by single-run and batch detection:
+    ``(match1, match2, window_stages, terminated) -> verdict``."""
+    if not 0.0 <= faulty_below < honest_above < 1.0:
+        raise ValueError("need 0 <= faulty_below < honest_above < 1")
+    if window < 1:
+        raise ValueError(f"window must be positive, got {window}")
+
+    def verdict(match1: int, match2: int, window_stages: int, terminated: bool) -> str:
+        if terminated:
+            return "none"
+        if window_stages < window:
+            return "inconclusive"
+        r1 = match1 / window_stages
+        r2 = match2 / window_stages
+        if r1 < faulty_below and r2 > honest_above:
+            return "device1_faulty"
+        if r2 < faulty_below and r1 > honest_above:
+            return "device2_faulty"
         return "inconclusive"
-    r1 = match1 / window_stages
-    r2 = match2 / window_stages
-    if r1 < faulty_below and r2 > honest_above:
-        return "device1_faulty"
-    if r2 < faulty_below and r1 > honest_above:
-        return "device2_faulty"
-    return "inconclusive"
+
+    return verdict
 
 
 def detect_fault(
@@ -353,10 +375,7 @@ def detect_fault(
     verdict is one-sided by design; "inconclusive" is the honest
     answer for anything short of a clear single culprit.
     """
-    if not 0.0 <= faulty_below < honest_above < 1.0:
-        raise ValueError("need 0 <= faulty_below < honest_above < 1")
-    if window < 1:
-        raise ValueError(f"window must be positive, got {window}")
+    verdict_of = _verdict_rule(window, faulty_below, honest_above)
     if not isinstance(coins, BinaryCoinPair):
         raise TypeError("coins must be a BinaryCoinPair; thresholds are read against its c0")
     stages = transcript.stages
@@ -364,9 +383,7 @@ def detect_fault(
     m1 = sum(1 for a1, _, s1, _ in tail if a1 == s1)
     m2 = sum(1 for _, a2, _, s2 in tail if a2 == s2)
     n = len(tail)
-    verdict = _verdict_from_counts(
-        m1, m2, n, window, transcript.terminal is not None, faulty_below, honest_above
-    )
+    verdict = verdict_of(m1, m2, n, transcript.terminal is not None)
     rate1 = m1 / n if n else math.nan
     rate2 = m2 / n if n else math.nan
     return DetectionVerdict(verdict, rate1, rate2, n)
@@ -405,22 +422,12 @@ class WeakBatch:
         faulty_below: float = 0.1,
         honest_above: float = 0.2,
     ) -> list[str]:
-        if not 0.0 <= faulty_below < honest_above < 1.0:
-            raise ValueError("need 0 <= faulty_below < honest_above < 1")
-        out = []
-        for i in range(self.runs):
-            out.append(
-                _verdict_from_counts(
-                    int(self.match1[i]),
-                    int(self.match2[i]),
-                    int(self.window_stages[i]),
-                    self.window,
-                    bool(self.outcome_idx[i] >= 0),
-                    faulty_below,
-                    honest_above,
-                )
-            )
-        return out
+        verdict_of = _verdict_rule(self.window, faulty_below, honest_above)
+        return [
+            verdict_of(m1, m2, n, k >= 0)
+            for m1, m2, n, k in zip(self.match1.tolist(), self.match2.tolist(),
+                                    self.window_stages.tolist(), self.outcome_idx.tolist())
+        ]
 
 
 def simulate_weak(
@@ -452,13 +459,15 @@ def simulate_weak(
     if window < 1:
         raise ValueError(f"window must be positive, got {window}")
     spec = adversary if adversary is not None else Honest()
-    if not isinstance(spec, (Honest, Constant, Push, Stall)):
+    if not isinstance(spec, AdversarySpec):
         raise TypeError(f"batch engine needs an adversary spec, got {spec!r}")
-    tgt_idx = target.outcomes.index(spec.target) if isinstance(spec, Push) else -1
+    pol1, pol2 = (
+        _WeakPolicy.bind(spec if dev == adversary_device else Honest(), dev, coins, target.outcomes)
+        for dev in (1, 2)
+    )
 
     dev1, dev2, _ = device_streams(seed, *context)
     w = table.flat.copy()
-    J = target.outcomes.size
     n = runs
 
     lam = np.tile(target.mass, (n, 1))
@@ -469,8 +478,6 @@ def simulate_weak(
     match2 = np.zeros(n, dtype=np.int64)
     window_stages = np.zeros(n, dtype=np.int64)
     window_start = max(0, max_stages - window)
-    honest1 = coins.prob(1, ALPHA)
-    honest2 = coins.prob(2, ALPHA)
 
     for stage in range(max_stages):
         if not np.any(active):
@@ -488,33 +495,11 @@ def simulate_weak(
             continue
         idx = np.nonzero(active)[0]
         d, s, jp, jm, binding = _successor_arrays(lam[idx], w)
-        shrink1 = (binding >> 1).astype(np.int64)
-        shrink2 = (binding & 1).astype(np.int64)
-
-        p1 = np.full(idx.size, honest1)
-        p2 = np.full(idx.size, honest2)
-        p_adv = p1 if adversary_device == 1 else p2
-        if isinstance(spec, Constant):
-            p_adv[:] = 1.0 if spec.letter == ALPHA else 0.0
-        elif isinstance(spec, Stall):
-            own = shrink1 if adversary_device == 1 else shrink2
-            p_adv[:] = 0.0
-            p_adv[own == BETA] = 1.0
-        elif isinstance(spec, Push):
-            tgt = d[:, :, tgt_idx]  # (k, 4)
-            if adversary_device == 1:
-                va = np.maximum(tgt[:, 0], tgt[:, 1])
-                vb = np.maximum(tgt[:, 2], tgt[:, 3])
-            else:
-                va = np.maximum(tgt[:, 0], tgt[:, 2])
-                vb = np.maximum(tgt[:, 1], tgt[:, 3])
-            p_adv[:] = np.where(va >= vb, 1.0, 0.0)
-
-        a1 = np.where(u1[idx] < p1, ALPHA, BETA)
-        a2 = np.where(u2[idx] < p2, ALPHA, BETA)
+        a1 = np.where(u1[idx] < pol1.p_alpha(d, binding), ALPHA, BETA)
+        a2 = np.where(u2[idx] < pol2.p_alpha(d, binding), ALPHA, BETA)
         if stage >= window_start:
-            match1[idx] += a1 == shrink1
-            match2[idx] += a2 == shrink2
+            match1[idx] += a1 == _shrink_letter(binding, 1)
+            match2[idx] += a2 == _shrink_letter(binding, 2)
             window_stages[idx] += 1
         pair = 2 * a1 + a2
         lam[idx] = d[np.arange(idx.size), pair, :]

@@ -5,11 +5,8 @@ from jcl.adversaries import (
     Honest,
     Push,
     Stall,
-    constant_adversary,
     default_suite,
-    greedy_push_adversary,
     parse_adversary,
-    stalling_adversary,
 )
 from jcl.core import ALPHA, BETA
 
@@ -25,16 +22,6 @@ def test_names():
 def test_constant_validates_letter():
     with pytest.raises(ValueError):
         Constant(2)
-    assert constant_adversary("beta") == Constant(BETA)
-    assert constant_adversary(ALPHA) == Constant(ALPHA)
-
-
-def test_factories():
-    assert greedy_push_adversary("strong", "x") == Push("x")
-    assert greedy_push_adversary("weak", "x") == Push("x")
-    with pytest.raises(ValueError):
-        greedy_push_adversary("medium", "x")
-    assert stalling_adversary() == Stall()
 
 
 def test_parse_round_trip():

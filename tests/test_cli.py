@@ -4,9 +4,12 @@ Every command is rerun-stable: same config and seed give byte-identical
 reports, and --jobs never changes content.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -323,3 +326,35 @@ class TestGame:
         r = run_cli("game", "--config", cfg, "--out", "-")
         assert r.returncode == 2
         assert "runs > 0" in r.stderr
+
+
+def _names_looked_up(module) -> set[str]:
+    """Every name the module's own functions and methods look up."""
+    names: set[str] = set()
+
+    def walk(code):
+        names.update(code.co_names)
+        for c in code.co_consts:
+            if isinstance(c, types.CodeType):
+                walk(c)
+
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        for fn in [obj, *vars(obj).values()] if isinstance(obj, type) else [obj]:
+            if isinstance(fn, types.FunctionType):
+                walk(fn.__code__)
+    return names
+
+
+def test_bench_tracer_targets_resolve():
+    # bench/tracer.py times each layer by patching these attributes; a
+    # renamed or moved call site would silently lose its spans
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for owner, attr, _ in tracer.TARGETS:
+        assert callable(getattr(owner, attr, None)), (owner.__name__, attr)
+        if isinstance(owner, types.ModuleType):
+            assert attr in _names_looked_up(owner), (owner.__name__, attr)

@@ -18,7 +18,6 @@ from jcl import (
     QuittingGame,
     StallLottery,
     StationaryDesignation,
-    StationaryProfile,
     SunspotProfile,
     build_block_profile,
     deviation_gain,
@@ -29,7 +28,6 @@ from jcl import (
     parse_deviation,
     perturb_pure,
     play,
-    quit_immediately,
     simulate_block_profile,
     sunspot_from_dict,
 )
@@ -280,7 +278,6 @@ class TestDeviationParsing:
         assert parse_deviation("quit-immediately") == QuitAtBlock(1)
         assert parse_deviation("constant-continue:b") == ConstantContinue("b")
         assert parse_deviation("stall-lottery") == StallLottery()
-        assert quit_immediately() == QuitAtBlock(1)
 
     def test_rejects(self):
         with pytest.raises(ValueError, match="unknown deviation"):
@@ -356,30 +353,6 @@ class TestBuildProfile:
 
 
 class TestPlay:
-    def test_stationary_all_quit_absorbs_at_stage_one(self, example):
-        game, _ = example
-        actions = {
-            p: ProbabilityVector.dirac(
-                OutcomeSet(game.action_space(p)), QUIT
-            )
-            for p in game.players
-        }
-        r = play(StationaryProfile(game, actions), seed=5)
-        assert r.absorbed and r.stage == 1
-        expect = np.minimum(np.minimum(SOLO["P1"], SOLO["P2"]), SOLO["P3"])
-        assert np.array_equal(r.payoff, expect)
-
-    def test_stationary_never_quit_pays_continue_value(self, example):
-        game, sunspot = example
-        actions = {}
-        for p in game.players:
-            space = OutcomeSet(game.action_space(p))
-            mass = list(sunspot.x[p].mass) + [0.0]
-            actions[p] = ProbabilityVector(space, mass)
-        r = play(StationaryProfile(game, actions), seed=5, horizon_stages=20)
-        assert not r.absorbed
-        assert np.allclose(r.payoff, [0.1, 0.1, 0.1], atol=1e-12)
-
     def test_block_play_is_deterministic(self, play_profile):
         r1 = play(play_profile, seed=11, context=("t",))
         r2 = play(play_profile, seed=11, context=("t",))
@@ -500,19 +473,6 @@ class TestBlockSimulation:
             deviation_gain(sim_profile, "P1", 0)
         with pytest.raises(ValueError, match="positive"):
             estimate_payoff(sim_profile, 0)
-
-    def test_stationary_estimate_rejects_deviator(self, example):
-        game, _ = example
-        actions = {
-            p: ProbabilityVector.dirac(OutcomeSet(game.action_space(p)), QUIT)
-            for p in game.players
-        }
-        prof = StationaryProfile(game, actions)
-        with pytest.raises(ValueError, match="block profiles only"):
-            estimate_payoff(prof, 10, deviator=("P1", QuitAtBlock(1)))
-        est = estimate_payoff(prof, 50, seed=1)
-        expect = np.minimum(np.minimum(SOLO["P1"], SOLO["P2"]), SOLO["P3"])
-        assert np.allclose(est.mean, expect, atol=1e-12)
 
     def test_zero_runs_allowed_in_batch(self, sim_profile):
         sim = simulate_block_profile(sim_profile, 0, seed=1)

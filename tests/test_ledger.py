@@ -1,0 +1,119 @@
+"""Byte ledger: SHA-256 digests of small reports at fixed seeds.
+
+Every command's report is a pure function of (config, seed), so a
+refactor that keeps behaviour keeps these digests.  A change that
+reads the random streams differently moves them; it then updates the
+digests here and says why in CHANGES.md.  A numpy upgrade may move
+them as well.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from jcl import BinaryCoinPair, Honest, ProbabilityVector, default_suite, run_strong, run_weak
+from jcl.cli import main
+from jcl.sample_games import example_quitting_game
+
+COINS = {"p1_alpha": 0.3, "p2_alpha": 0.7}
+TARGET = {"a": 0.2, "b": 0.3, "c": 0.5}
+LOTTERY = {"coins": COINS, "target": TARGET, "seed": 5}
+SUNSPOT = {
+    "x": {"P1": {"a": 0.6, "b": 0.4}, "P2": {"c": 0.5, "d": 0.5}, "P3": {"e": 1.0}},
+    "designation": {"type": "stationary", "probs": {"P1": 0.3, "P2": 0.3, "P3": 0.3, "0": 0.1}},
+    "eta": 0.02,
+    "target_payoff": [0.55, 0.55, 0.5],
+}
+
+
+def _game(runs):
+    return {"game": example_quitting_game()[0].to_dict(), "sunspot": SUNSPOT,
+            "C": 100.0, "eps": 0.05, "runs": runs, "seed": 5}
+
+
+# command -> (argv before --config, config, report digest)
+REPORTS = {
+    "lottery-strong": (
+        ["lottery-strong"],
+        {**LOTTERY, "C": 200.0, "adversary": "push:c", "adversary_device": 2, "runs": 30_000},
+        "07a0fb66564af0b8cd31d0c18ad03b8370bc8a7d77e9cda10e6d18767648766f",
+    ),
+    "lottery-weak": (
+        ["lottery-weak"],
+        {**LOTTERY, "adversary": "push:b", "runs": 30_000},
+        "def744325be6f30b7876ab148fbba66a1f6e6c7afe470e8b11f1aa140e7360c7",
+    ),
+    "detect": (
+        ["detect"],
+        {**LOTTERY, "adversary": "stall", "max_stages": 1500, "runs": 200},
+        "a2d1acfc028807d330327f7eb876fb9d04da4c7869d8cc80a094ab4a7da2b741",
+    ),
+    "calibrate": (
+        ["calibrate"],
+        {**LOTTERY, "eps": 0.2, "runs_per_probe": 2000},
+        "6c6e36d4635715654253a98b323ed0492c2839422ac8a39145f2f2e683a553f7",
+    ),
+    "game-payoff": (
+        ["game", "--mode", "payoff"], _game(2000),
+        "0e584225794c04a2a44dea57240a61a3a7aa1d4af9861587cc8f4d9176cc15bf",
+    ),
+    "game-deviations": (
+        ["game", "--mode", "deviations"], _game(300),
+        "b1a97ebf6576af199346ee6baaaeac03fa70be7cb8df93f191bd05e1b13b402f",
+    ),
+}
+
+TRANSCRIPTS = {
+    "strong": "fcec6c4af9e003ccf3c2223ee06eb24d2c14d3bbba6d4f1b486d74fa89327166",
+    "weak": "8517b414b8eac5d502b66f84bc0341196c970f9124c11abaa6113f24ddfa9de9",
+}
+
+
+def _report(tmp_path, capsys, command, cfg, *extra) -> str:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / f"report-{len(extra)}"
+    assert main([*command, "--config", str(config), "--out", str(out), *extra]) == 0
+    capsys.readouterr()
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(REPORTS))
+def test_report_bytes(name, tmp_path, capsys):
+    command, cfg, digest = REPORTS[name]
+    assert _report(tmp_path, capsys, command, cfg) == digest
+
+
+@pytest.mark.parametrize("name", ["lottery-strong", "lottery-weak"])
+def test_jobs_write_the_same_bytes(name, tmp_path, capsys):
+    # 30k runs make two shards, so --jobs 2 really runs them in parallel
+    command, cfg, digest = REPORTS[name]
+    assert _report(tmp_path, capsys, command, cfg, "--jobs", "2") == digest
+
+
+def _specs():
+    coins = BinaryCoinPair(0.3, 0.7)
+    target = ProbabilityVector.from_dict(TARGET)
+    for spec in [Honest()] + default_suite(target.outcomes.labels):
+        for device in (1, 2):
+            args = {"s1": spec} if device == 1 else {"s2": spec}
+            yield coins, target, spec, device, args
+
+
+def test_run_strong_transcripts():
+    h = hashlib.sha256()
+    for coins, target, spec, device, args in _specs():
+        r = run_strong(coins, target, 10.0, seed=7, context=(spec.name, device), **args)
+        h.update(repr((spec.name, device, r.outcome, r.stages, r.z, r.transcript.stages)).encode())
+    assert h.hexdigest() == TRANSCRIPTS["strong"]
+
+
+def test_run_weak_transcripts():
+    h = hashlib.sha256()
+    for coins, target, spec, device, args in _specs():
+        r = run_weak(coins, target, seed=7, max_stages=200, context=(spec.name, device),
+                     window=100, **args)
+        h.update(repr((spec.name, device, r.outcome, r.stages, r.transcript.stages,
+                       r.verdict)).encode())
+    assert h.hexdigest() == TRANSCRIPTS["weak"]
