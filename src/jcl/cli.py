@@ -501,36 +501,41 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, out_required=True):
+    def common(p: argparse.ArgumentParser, *, jobs=False, eps=False, max_stages=False):
+        """Flags every subcommand reads, plus the optional ones it reads too."""
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="root seed (overrides config)")
         p.add_argument("--runs", type=int, default=None, help="number of runs (overrides config)")
-        p.add_argument("--out", required=out_required, help="output path, '-' for stdout")
-        p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-        p.add_argument("--eps", type=float, default=None, help="accuracy target (overrides config)")
-        p.add_argument("--max-stages", dest="max_stages", type=int, default=None,
-                       help="stage cap for the detecting lottery (overrides config)")
+        p.add_argument("--out", required=True, help="output path, '-' for stdout")
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+        if eps:
+            p.add_argument("--eps", type=float, default=None,
+                           help="accuracy target (overrides config)")
+        if max_stages:
+            p.add_argument("--max-stages", dest="max_stages", type=int, default=None,
+                           help="stage cap for the detecting lottery (overrides config)")
         p.add_argument("--assert", dest="do_assert", action="store_true",
                        help="exit 3 unless the subcommand's acceptance gate passes")
 
     p = sub.add_parser("lottery-strong", help="bounded lottery batch -> CSV")
-    common(p)
+    common(p, jobs=True, eps=True)
     p.set_defaults(func=cmd_lottery_strong)
 
     p = sub.add_parser("lottery-weak", help="detecting lottery batch -> CSV")
-    common(p)
+    common(p, jobs=True, eps=True, max_stages=True)
     p.set_defaults(func=cmd_lottery_weak)
 
     p = sub.add_parser("detect", help="fault detection batch -> CSV")
-    common(p)
+    common(p, jobs=True, max_stages=True)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("calibrate", help="search the stopping threshold C -> JSON")
-    common(p)
+    common(p, eps=True)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("game", help="quitting-game payoff or deviation report -> JSON")
-    common(p)
+    common(p, eps=True)
     p.add_argument("--mode", choices=("payoff", "deviations"), default="payoff")
     p.set_defaults(func=cmd_game)
 

@@ -17,7 +17,8 @@ read off the public transcript: that is what :func:`detect_fault`
 does.
 
 :func:`run_weak` plays one run stage by stage with a transcript and
-:func:`simulate_weak` advances many runs in lockstep.  Both read each
+:func:`simulate_weak` advances many runs at once, jumping the frozen
+phase of stalled runs by exact binomial blocks.  Both read each
 adversary spec's letter rule from its :class:`_WeakPolicy`, over the
 successor arrays of one run or of all active runs, and both blame by
 one checked verdict rule.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +51,10 @@ from .strong import ScoreTable
 # A successor whose coordinate dips below -_NEG_TOL is a logic error;
 # anything in [-_NEG_TOL, 0) is float noise and gets clamped to zero.
 _NEG_TOL = 1e-12
+# smallest normal float: a positive coordinate below it has hit the floor
+_TINY = float(np.finfo(np.float64).tiny)
+# frozen runs whose safe jump is shorter than this keep per-stage play
+_JUMP_MIN = 16
 
 
 def default_max_stages(coins: BinaryCoinPair, target: ProbabilityVector) -> int:
@@ -61,12 +67,57 @@ def default_max_stages(coins: BinaryCoinPair, target: ProbabilityVector) -> int:
     return math.ceil(target.outcomes.size * math.log(100.0) / coins.c1)
 
 
-def _successor_arrays(lam: np.ndarray, w: np.ndarray):
-    """Successor maps for a batch of non-Dirac belief rows.
+class _Successors(NamedTuple):
+    """One stage's successor rule for a batch of non-Dirac belief rows.
 
-    ``lam`` has shape (n, J) with at least two positive coordinates
-    per row.  Returns (d, s, j_plus, j_minus, binding) where ``d`` has
-    shape (n, 4, J) in pair order (aa, ab, ba, bb).
+    Every letter pair moves mass between lam_plus and lam_minus and
+    leaves the other coordinates alone, so the four successors are kept
+    as those two moved coordinates per pair, ``new_p`` and ``new_m``
+    with shape (n, 4) in pair order (aa, ab, ba, bb), clamped but not
+    yet normalized.  :meth:`rows` builds only the drawn successors.
+    """
+
+    lam: np.ndarray         # (n, J)
+    s: np.ndarray
+    j_plus: np.ndarray
+    j_minus: np.ndarray
+    binding: np.ndarray
+    new_p: np.ndarray
+    new_m: np.ndarray
+
+    def take(self, keep: np.ndarray) -> "_Successors":
+        return _Successors(*(a[keep] for a in self))
+
+    def rows(self, pair: np.ndarray) -> np.ndarray:
+        """Each run's normalized successor for its letter pair ``pair``."""
+        r = np.arange(pair.size)
+        out = self.lam.copy()
+        out[r, self.j_plus] = self.new_p[r, pair]
+        out[r, self.j_minus] = self.new_m[r, pair]
+        out /= out.sum(axis=1)[:, None]
+        return out
+
+    def column(self, t: int) -> np.ndarray:
+        """Coordinate ``t`` of all four normalized successors, (n, 4).
+
+        Normalizing needs each successor's full row sum, so this builds
+        the four rows; only the push rule reads it.
+        """
+        n = self.lam.shape[0]
+        d = np.repeat(self.lam[:, None, :], 4, axis=1)
+        for j, new in ((self.j_plus, self.new_p), (self.j_minus, self.new_m)):
+            np.put_along_axis(d, np.broadcast_to(j[:, None, None], (n, 4, 1)),
+                              new[:, :, None], axis=2)
+        return d[:, :, t] / d.sum(axis=2)
+
+
+def _successor_arrays(lam: np.ndarray, w: np.ndarray) -> _Successors:
+    """Successor rule for a batch of non-Dirac belief rows.
+
+    ``lam`` has shape (n, J) with at least two positive coordinates per
+    row.  Only the binding pair's hit may zero a coordinate: any other
+    positive coordinate that falls to the subnormal range is a float
+    floor, not a decision, and raises FloatingPointError.
     """
     n, J = lam.shape
     rows = np.arange(n)
@@ -76,33 +127,37 @@ def _successor_arrays(lam: np.ndarray, w: np.ndarray):
     j_minus = np.argmin(masked, axis=1)
     lam_p = lam[rows, j_plus]
     lam_m = lam[rows, j_minus]
-    # largest step keeping every successor in the simplex
-    s_k = np.where(w > 0.0, lam_m[:, None], lam_p[:, None]) / np.abs(w)
-    s = s_k.min(axis=1)
-    binding = np.argmin(s_k, axis=1).astype(np.int64)
+    # largest step keeping every successor in the simplex; per pair
+    # columns, since numpy reduces short rows slowly
+    wk = w.tolist()
+    s_k = np.stack([(lam_m if x > 0.0 else lam_p) / abs(x) for x in wk], axis=1)
+    binding = np.argmin(s_k, axis=1)
+    s = s_k[rows, binding]
 
-    delta = s[:, None] * w[None, :]  # (n, 4)
-    d = np.repeat(lam[:, None, :], 4, axis=1)
-    kk = np.broadcast_to(np.arange(4), (n, 4))
-    rr = np.broadcast_to(rows[:, None], (n, 4))
-    d[rr, kk, np.broadcast_to(j_plus[:, None], (n, 4))] += delta
-    d[rr, kk, np.broadcast_to(j_minus[:, None], (n, 4))] -= delta
-
+    new_p = np.stack([lam_p + s * x for x in wk], axis=1)
+    new_m = np.stack([lam_m - s * x for x in wk], axis=1)
     # the constrained coordinate of every pair that attains s* is an
     # exact zero, not a rounding residue
     hit = s_k == s[:, None]
-    coord = np.where(w > 0.0, j_minus[:, None], j_plus[:, None])
-    cur = d[rr, kk, coord]
-    d[rr, kk, coord] = np.where(hit, 0.0, cur)
+    zero_p = hit & (w <= 0.0)
+    zero_m = hit & (w > 0.0)
+    new_p[zero_p] = 0.0
+    new_m[zero_m] = 0.0
 
-    if np.any(d < -_NEG_TOL):
+    if np.any(new_p < -_NEG_TOL) or np.any(new_m < -_NEG_TOL) or np.any(lam < -_NEG_TOL):
         raise AssertionError("successor left the simplex")
-    np.maximum(d, 0.0, out=d)
-    sums = d.sum(axis=2)
+    np.maximum(new_p, 0.0, out=new_p)
+    np.maximum(new_m, 0.0, out=new_m)
+    if np.any((new_p < _TINY) & ~zero_p) or np.any((new_m < _TINY) & ~zero_m):
+        raise FloatingPointError(
+            "a belief coordinate fell to the float floor (subnormal or zero) "
+            "without its binding pair being hit; the run is too long for "
+            "per-stage float beliefs"
+        )
+    sums = (lam @ np.ones(J) - lam_p - lam_m)[:, None] + new_p + new_m
     if np.any(np.abs(sums - 1.0) > 1e-9):
         raise AssertionError("successor mass drifted away from 1")
-    d /= sums[:, :, None]
-    return d, s, j_plus, j_minus, binding
+    return _Successors(lam, s, j_plus, j_minus, binding, new_p, new_m)
 
 
 def _shrink_letter(binding, device: int):
@@ -154,14 +209,14 @@ def build_successor(
     lam = np.asarray(lam, dtype=np.float64)
     if int(np.count_nonzero(lam > 0.0)) <= 1:
         return None
-    d, s, jp, jm, binding = _successor_arrays(lam[None, :], table.flat)
+    succ = _successor_arrays(lam[None, :], table.flat)
     return SuccessorMap(
         lam=lam.copy(),
-        s=float(s[0]),
-        j_plus=int(jp[0]),
-        j_minus=int(jm[0]),
-        binding_pair=int(binding[0]),
-        d=d[0],
+        s=float(succ.s[0]),
+        j_plus=int(succ.j_plus[0]),
+        j_minus=int(succ.j_minus[0]),
+        binding_pair=int(succ.binding[0]),
+        d=np.concatenate([succ.rows(np.array([k])) for k in range(4)]),
     )
 
 
@@ -207,9 +262,10 @@ class _WeakPolicy:
         target = outcomes.index(spec.target) if isinstance(spec, Push) else -1
         return cls(spec, device, coins.prob(device, ALPHA), target)
 
-    def p_alpha(self, d: np.ndarray, binding: np.ndarray) -> np.ndarray:
-        """Alpha probability per run, given that stage's successors ``d``
-        (runs, 4, J) and binding pairs (runs,)."""
+    def p_alpha(self, binding: np.ndarray, column=None) -> np.ndarray:
+        """Alpha probability per run, given that stage's binding pairs
+        (runs,) and ``column(t)``, coordinate t of the four normalized
+        successors (runs, 4), which only the push rule reads."""
         spec = self.spec
         if isinstance(spec, Honest):
             return np.full(binding.size, self.honest)
@@ -220,8 +276,23 @@ class _WeakPolicy:
             return np.where(_shrink_letter(binding, self.device) == BETA, 1.0, 0.0)
         # push: own letter whose best-case successor favors the target;
         # the target's successor masses indexed [run, a1, a2]
-        best = d[:, :, self.target].reshape(-1, 2, 2).max(axis=3 - self.device)
+        best = column(self.target).reshape(-1, 2, 2).max(axis=3 - self.device)
         return np.where(best[:, ALPHA] >= best[:, BETA], 1.0, 0.0)
+
+    @property
+    def may_freeze(self) -> bool:
+        """Whether the letter is fixed while the binding pair stays put."""
+        return isinstance(self.spec, (Constant, Stall))
+
+    def frozen_letter(self, binding: np.ndarray) -> np.ndarray:
+        """The letter each run plays for as long as its binding pair stays
+        put, or -1 where it is not fixed or is the device's own binding
+        letter.  Only runs with such a letter may jump a frozen phase:
+        ``Stall``, and ``Constant`` while it avoids the binding letter."""
+        if not self.may_freeze:
+            return np.full(binding.size, -1)
+        letter = np.where(self.p_alpha(binding) == 1.0, ALPHA, BETA)
+        return np.where(letter == _shrink_letter(binding, self.device), -1, letter)
 
 
 class BoundWeakAdversary:
@@ -233,7 +304,7 @@ class BoundWeakAdversary:
 
     def prob_alpha(self, ctx: StageContext) -> float:
         m: SuccessorMap = ctx.mech.map
-        return float(self.policy.p_alpha(m.d[None], np.array([m.binding_pair]))[0])
+        return float(self.policy.p_alpha(np.array([m.binding_pair]), lambda t: m.d[None, :, t])[0])
 
 
 def bind_weak(
@@ -279,6 +350,12 @@ def run_weak(
     third party can audit who kept avoiding their binding letter; the
     returned verdict is detect_fault on that transcript with the given
     window and thresholds.
+
+    Beliefs are floats.  Under a stall at coins 0.3/0.7, lam_minus
+    reaches the subnormal floor after about 2e4 stages; the successor
+    rule then raises FloatingPointError rather than read the underflow
+    as a decision.  :func:`simulate_weak` carries stalled runs past
+    that floor in log form.
     """
     table = ScoreTable.from_coins(coins)
     if max_stages is None:
@@ -430,6 +507,70 @@ class WeakBatch:
         ]
 
 
+def _jump_plan(succ: _Successors, letter: np.ndarray, device: int, w: np.ndarray,
+               log_m: np.ndarray):
+    """Safe block length of each run whose structure can freeze.
+
+    While ``j_plus``, ``j_minus`` and the binding pair stay put and the
+    device at ``device`` plays its fixed ``letter`` (-1: none, see
+    :meth:`_WeakPolicy.frozen_letter`), each stage multiplies lam_minus
+    by f = 1 - w_k/w_bind, where the other device's letter picks the
+    pair k, and lam_plus + lam_minus = S is conserved.  The structure
+    holds while lam_minus stays strictly below t*, the least of: the
+    smallest other positive coordinate, S minus the largest other one,
+    S/2, and S·w_bind/(w_bind + |w_min|).
+
+    ``log_m`` is log lam_minus for runs already frozen (whose rows keep
+    the frozen structure) and NaN for the rest, whose lam_minus is read
+    from ``succ``.  Returns ``(m, log_f, log_lam_m)``: m is the largest
+    block whose all-up path stays strictly below t* (inf where no path
+    grows; 0 where the run cannot freeze or has no room for a
+    ``_JUMP_MIN`` block), log_f (runs, 2) is log f for the other
+    device's alpha and beta, and log_lam_m is log lam_minus where m > 0.
+    """
+    # log f per (binding pair, own letter, other letter)
+    a, o = np.meshgrid([ALPHA, BETA], [ALPHA, BETA], indexing="ij")
+    pair = 2 * a + o if device == 1 else 2 * o + a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = np.log(1.0 - w[pair][None] / w[:, None, None])
+    grow = np.maximum(table.max(axis=2), 0.0)
+    ok = (w > 0.0)[:, None] & (table > -np.inf).all(axis=2)
+    # t* <= S/2, so a block of _JUMP_MIN stages needs lam_minus below
+    # S/2 / reach; runs short of that skip the t* computation
+    reach = np.exp(_JUMP_MIN * grow)
+
+    own = np.maximum(letter, 0)
+    b = succ.binding
+    r = np.arange(b.size)
+    lam = succ.lam
+    frozen = ~np.isnan(log_m)
+    lam_m = lam[r, succ.j_minus]
+    S = lam[r, succ.j_plus] + lam_m
+    with np.errstate(over="ignore", under="ignore"):
+        lin = np.where(frozen, np.exp(log_m), lam_m)
+    c = np.nonzero((letter >= 0) & ok[b, own] & (lin * reach[b, own] < S / 2.0))[0]
+    m = np.zeros(b.size)
+    log_lam_m = np.full(b.size, np.nan)
+    if c.size:
+        rest = lam[c]
+        rest[np.arange(c.size), succ.j_plus[c]] = 0.0
+        rest[np.arange(c.size), succ.j_minus[c]] = 0.0
+        Sc, wb = S[c], w[b[c]]
+        t_star = np.minimum.reduce([
+            np.where(rest > 0.0, rest, np.inf).min(axis=1),
+            Sc - rest.max(axis=1),
+            Sc / 2.0,
+            Sc * wb / (wb + abs(float(w.min()))),
+        ])
+        log_lam_m[c] = np.where(frozen[c], log_m[c], np.log(lam_m[c]))
+        room = np.log(t_star) - log_lam_m[c]
+        g = grow[b[c], own[c]]
+        with np.errstate(divide="ignore"):
+            m[c] = np.where(room <= 0.0, 0.0,
+                            np.where(g > 0.0, np.floor(room / g) - 1.0, np.inf))
+    return m, table[b, own], log_lam_m
+
+
 def simulate_weak(
     coins: BinaryCoinPair,
     target: ProbabilityVector,
@@ -441,13 +582,24 @@ def simulate_weak(
     context: tuple = (),
     max_stages: int | None = None,
     window: int = 1000,
+    _per_stage: bool = False,
 ) -> WeakBatch:
-    """Run many detecting lotteries in lockstep.
+    """Run many detecting lotteries, vectorized over runs.
 
-    All runs advance one stage per iteration with vectorized successor
-    maps.  Binding-letter matches are tallied over the trailing
-    ``window`` stages of the budget, which is what the batch fault
-    verdicts are computed from.
+    Each pass advances every active run, so runs do not move in
+    lockstep.  Most runs take one stage through the shared successor
+    rule.  A run whose adversary plays a fixed letter that avoids its
+    binding letter (stall, or a constant that refuses it) and whose
+    structure has frozen (see :func:`_jump_plan`) instead jumps a whole
+    block: its lam_minus, kept as a log so the float floor never comes
+    up, moves by one binomial draw of the honest letter count.  Blocks
+    never straddle the window start, and runs whose safe block is under
+    ``_JUMP_MIN`` stages keep per-stage play, so the law is exact.
+    ``_per_stage=True`` (for tests) turns jumps off.
+
+    Binding-letter matches are tallied over the trailing ``window``
+    stages of the budget, which is what the batch fault verdicts are
+    computed from.
     """
     if runs < 0:
         raise ValueError(f"runs must be nonnegative, got {runs}")
@@ -456,58 +608,92 @@ def simulate_weak(
     table = ScoreTable.from_coins(coins)
     if max_stages is None:
         max_stages = default_max_stages(coins, target)
+    if max_stages < 0:
+        raise ValueError(f"max_stages must be nonnegative, got {max_stages}")
     if window < 1:
         raise ValueError(f"window must be positive, got {window}")
     spec = adversary if adversary is not None else Honest()
     if not isinstance(spec, AdversarySpec):
         raise TypeError(f"batch engine needs an adversary spec, got {spec!r}")
-    pol1, pol2 = (
+    pols = [
         _WeakPolicy.bind(spec if dev == adversary_device else Honest(), dev, coins, target.outcomes)
         for dev in (1, 2)
-    )
+    ]
+    pol1, pol2 = pols
+    honest_dev = 3 - adversary_device
+    adv_pol, honest_pol = pols[adversary_device - 1], pols[honest_dev - 1]
+    jumps = adv_pol.may_freeze and not _per_stage
 
-    dev1, dev2, _ = device_streams(seed, *context)
+    streams = device_streams(seed, *context)
+    dev1, dev2 = streams[:2]
     w = table.flat.copy()
     n = runs
 
     lam = np.tile(target.mass, (n, 1))
+    # frozen runs: log lam_minus; their rows keep the frozen structure
+    log_m = np.full(n, np.nan)
     active = np.ones(n, dtype=bool)
     outcome_idx = np.full(n, -1, dtype=np.int64)
     stages = np.zeros(n, dtype=np.int64)
     match1 = np.zeros(n, dtype=np.int64)
     match2 = np.zeros(n, dtype=np.int64)
+    honest_match = match1 if honest_dev == 1 else match2
     window_stages = np.zeros(n, dtype=np.int64)
     window_start = max(0, max_stages - window)
+    positive = np.ones(lam.shape[1], dtype=np.int64)  # counts positive coordinates
 
-    for stage in range(max_stages):
-        if not np.any(active):
-            break
-        decided = active & (np.count_nonzero(lam > 0.0, axis=1) <= 1)
+    while True:
+        decided = active & ((lam > 0.0) @ positive <= 1)
         if np.any(decided):
             outcome_idx[decided] = np.argmax(lam[decided], axis=1)
             active &= ~decided
-        # stream consumption is one draw per device per stage for every
-        # run, regardless of who is still active: keeps runs comparable
-        # across adversaries under a shared seed
+        active &= stages < max_stages
+        if not np.any(active):
+            break
+        # one draw per device per pass for every run, regardless of who
+        # is still active: without jumps, a pass is a stage, and runs
+        # stay comparable across adversaries under a shared seed
         u1 = dev1.random(n)
         u2 = dev2.random(n)
-        if not np.any(active):
-            continue
         idx = np.nonzero(active)[0]
-        d, s, jp, jm, binding = _successor_arrays(lam[idx], w)
-        a1 = np.where(u1[idx] < pol1.p_alpha(d, binding), ALPHA, BETA)
-        a2 = np.where(u2[idx] < pol2.p_alpha(d, binding), ALPHA, BETA)
-        if stage >= window_start:
-            match1[idx] += a1 == _shrink_letter(binding, 1)
-            match2[idx] += a2 == _shrink_letter(binding, 2)
-            window_stages[idx] += 1
-        pair = 2 * a1 + a2
-        lam[idx] = d[np.arange(idx.size), pair, :]
-        stages[idx] += 1
+        succ = _successor_arrays(lam[idx], w)
 
-    decided = active & (np.count_nonzero(lam > 0.0, axis=1) <= 1)
-    if np.any(decided):
-        outcome_idx[decided] = np.argmax(lam[decided], axis=1)
+        if jumps:
+            m_safe, log_f, cur = _jump_plan(
+                succ, adv_pol.frozen_letter(succ.binding), adversary_device, w, log_m[idx]
+            )
+            go = m_safe >= _JUMP_MIN
+            thaw = ~np.isnan(log_m[idx]) & ~go
+            if np.any(thaw):
+                # back to per-stage play from the next pass on
+                t, jp, jm = idx[thaw], succ.j_plus[thaw], succ.j_minus[thaw]
+                total = lam[t, jp] + lam[t, jm]
+                lam[t, jm] = np.exp(log_m[t])
+                lam[t, jp] = total - lam[t, jm]
+                log_m[t] = np.nan
+            if np.any(go):
+                j, st = idx[go], stages[idx[go]]
+                cap = np.where(st < window_start, window_start - st, max_stages - st)
+                m = np.minimum(m_safe[go], cap).astype(np.int64)
+                k = streams[honest_dev - 1].binomial(m, honest_pol.honest)
+                log_m[j] = cur[go] + k * log_f[go, 0] + (m - k) * log_f[go, 1]
+                inw = st >= window_start
+                hits = np.where(_shrink_letter(succ.binding[go], honest_dev) == ALPHA, k, m - k)
+                honest_match[j] += np.where(inw, hits, 0)
+                window_stages[j] += np.where(inw, m, 0)
+                stages[j] += m
+            keep = ~(go | thaw)
+            if not keep.all():
+                idx, succ = idx[keep], succ.take(keep)
+
+        a1 = np.where(u1[idx] < pol1.p_alpha(succ.binding, succ.column), ALPHA, BETA)
+        a2 = np.where(u2[idx] < pol2.p_alpha(succ.binding, succ.column), ALPHA, BETA)
+        inw = stages[idx] >= window_start
+        match1[idx] += inw & (a1 == _shrink_letter(succ.binding, 1))
+        match2[idx] += inw & (a2 == _shrink_letter(succ.binding, 2))
+        window_stages[idx] += inw
+        lam[idx] = succ.rows(2 * a1 + a2)
+        stages[idx] += 1
 
     return WeakBatch(
         outcomes=target.outcomes,

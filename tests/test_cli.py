@@ -141,6 +141,18 @@ class TestConfigErrors:
         assert r.returncode == 2
         assert needle in r.stderr
 
+    @pytest.mark.parametrize("command,flag", [
+        ("lottery-strong", ["--max-stages", "3"]),
+        ("detect", ["--eps", "7"]),
+        ("calibrate", ["--jobs", "2"]),
+        ("game", ["--jobs", "2"]),
+    ])
+    def test_flags_a_command_does_not_read_are_refused(self, tmp_path, command, flag):
+        path = write_cfg(tmp_path, STRONG_CFG)
+        r = run_cli(command, "--config", path, "--out", str(tmp_path / "o"), *flag)
+        assert r.returncode == 2
+        assert "unrecognized arguments" in r.stderr
+
     def test_unreadable_and_malformed_configs(self, tmp_path):
         out = str(tmp_path / "o.csv")
         r = run_cli("lottery-strong", "--config", str(tmp_path / "missing.json"), "--out", out)

@@ -47,7 +47,7 @@ REPORTS = {
     "detect": (
         ["detect"],
         {**LOTTERY, "adversary": "stall", "max_stages": 1500, "runs": 200},
-        "a2d1acfc028807d330327f7eb876fb9d04da4c7869d8cc80a094ab4a7da2b741",
+        "f7fc151fe0f19818f2d4f44e78daf5ca8125c55eee193a72b3b8186393f0ea4b",
     ),
     "calibrate": (
         ["calibrate"],
@@ -90,6 +90,15 @@ def test_jobs_write_the_same_bytes(name, tmp_path, capsys):
     # 30k runs make two shards, so --jobs 2 really runs them in parallel
     command, cfg, digest = REPORTS[name]
     assert _report(tmp_path, capsys, command, cfg, "--jobs", "2") == digest
+
+
+def test_detect_jobs_write_the_same_bytes(tmp_path, capsys):
+    # one run past a shard makes two shards; stalled runs jump, so the
+    # jump draws must stay per shard
+    command, cfg, _ = REPORTS["detect"]
+    cfg = {**cfg, "runs": 25_001, "max_stages": 200, "window": 50}
+    assert _report(tmp_path, capsys, command, cfg, "--jobs", "2") == _report(
+        tmp_path, capsys, command, cfg)
 
 
 def _specs():

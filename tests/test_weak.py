@@ -1,9 +1,13 @@
 """Detecting lottery: successor maps, martingale law, fault blame."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2_contingency, ks_2samp
 
 from jcl import (
     ALPHA,
@@ -25,9 +29,13 @@ from jcl import (
     simulate_weak,
     step,
 )
+from jcl.strong import ScoreTable
+from jcl.weak import _jump_plan, _successor_arrays, _WeakPolicy
 
 COINS = BinaryCoinPair(0.3, 0.7)
+SKEW_COINS = BinaryCoinPair(0.95, 0.5)
 LAM2 = ProbabilityVector.from_dict({"x": 0.2, "y": 0.8})
+NU3 = ProbabilityVector.from_dict({"a": 0.2, "b": 0.3, "c": 0.5})
 
 
 class TestSuccessor:
@@ -79,6 +87,16 @@ class TestSuccessor:
     def test_unnormalized_belief_rejected(self):
         with pytest.raises(AssertionError, match="mass drifted"):
             build_successor(np.array([0.5, 0.2]), COINS)
+
+    def test_float_floor_raises_instead_of_deciding(self):
+        # at these coins pair ba keeps 0.816 of lam_minus: from 2.5e-308
+        # that is below the smallest normal float, with no binding hit
+        with pytest.raises(FloatingPointError, match="float floor"):
+            build_successor(np.array([2.5e-308, 1.0 - 2.5e-308]), COINS)
+        with pytest.raises(FloatingPointError, match="float floor"):
+            build_successor(np.array([1e-310, 1.0]), COINS)
+        m = build_successor(np.array([1e-300, 1.0 - 1e-300]), COINS)
+        assert m.d[1, 0] == 0.0  # the binding hit still zeroes
 
     def test_shrink_letter_validates_device(self):
         m = build_successor(LAM2, COINS)
@@ -314,6 +332,8 @@ class TestSimulateWeak:
             simulate_weak(COINS, LAM2, 10, adversary=Stall(), adversary_device=0)
         with pytest.raises(ValueError, match="window"):
             simulate_weak(COINS, LAM2, 10, window=0)
+        with pytest.raises(ValueError, match="max_stages must be nonnegative"):
+            simulate_weak(COINS, LAM2, 10, max_stages=-5)
         with pytest.raises(ValueError, match="faulty_below"):
             simulate_weak(COINS, LAM2, 10, seed=1).verdicts(
                 faulty_below=0.5, honest_above=0.4
@@ -325,3 +345,118 @@ class TestSimulateWeak:
         counts = np.bincount(b.outcome_idx[b.outcome_idx >= 0], minlength=2)
         excess = np.maximum(counts / n - LAM2.mass, 0.0)
         assert float(np.max(excess)) <= 2.0 * hoeffding_margin(n, 2, 0.01)
+
+
+def _verdict_law_p(a: list[str], b: list[str]) -> float:
+    """Two-sample chi-square p-value over the verdicts either batch gave."""
+    cells = sorted(set(a) | set(b))
+    table = np.array([[v.count(c) for c in cells] for v in (a, b)])
+    return 1.0 if len(cells) < 2 else float(chi2_contingency(table)[1])
+
+
+class TestStallJumps:
+    """``simulate_weak`` jumps the frozen phase of stalled runs in exact
+    binomial blocks; ``_per_stage=True`` plays every stage."""
+
+    @pytest.mark.parametrize(
+        "coins,target,attack,dev",
+        [
+            pytest.param(COINS, LAM2, Stall(), 1, id="j2-stall-d1"),
+            pytest.param(COINS, LAM2, Stall(), 2, id="j2-stall-d2"),
+            pytest.param(COINS, NU3, Stall(), 1, id="j3-stall-d1"),
+            pytest.param(COINS, NU3, Stall(), 2, id="j3-stall-d2"),
+            pytest.param(COINS, LAM2, Constant(BETA), 1, id="j2-constant-beta"),
+            pytest.param(SKEW_COINS, NU3, Stall(), 1, id="skew-j3-stall-d1"),
+        ],
+    )
+    def test_jumps_match_per_stage_law(self, coins, target, attack, dev):
+        # the window starts at stage 1700, inside the jump blocks, and
+        # honest_above at the honest match rate splits the verdicts
+        n, window = 400, 300
+        kw = dict(adversary=attack, adversary_device=dev, max_stages=2000, window=window)
+        fast = simulate_weak(coins, target, n, seed=41, **kw)
+        slow = simulate_weak(coins, target, n, seed=42, _per_stage=True, **kw)
+        for b in (fast, slow):
+            assert b.timeout_rate == 1.0
+            assert np.all(b.window_stages == window)
+            assert not (b.match1 if dev == 1 else b.match2).any()
+        honest = [b.match2 if dev == 1 else b.match1 for b in (fast, slow)]
+        assert ks_2samp(*honest).pvalue >= 1e-3
+        rate = coins.prob(3 - dev, BETA if dev == 1 else ALPHA)
+        verdicts = [b.verdicts(honest_above=rate) for b in (fast, slow)]
+        assert _verdict_law_p(*verdicts) >= 1e-3
+
+    def test_jumps_carry_beliefs_past_the_float_floor(self):
+        # lam_minus starts a few stages above the smallest normal float:
+        # per-stage play meets the floor, jumps keep it as a log
+        tiny = ProbabilityVector.from_dict({"x": 3e-308, "y": 1.0 - 3e-308})
+        kw = dict(adversary=Stall(), adversary_device=1, max_stages=500, window=100, seed=3)
+        with pytest.raises(FloatingPointError, match="float floor"):
+            simulate_weak(COINS, tiny, 20, _per_stage=True, **kw)
+        b = simulate_weak(COINS, tiny, 20, **kw)
+        assert b.timeout_rate == 1.0
+        assert b.verdicts() == ["device1_faulty"] * 20
+
+    def test_million_stage_stall_is_never_decided(self):
+        t0 = time.perf_counter()
+        b = simulate_weak(
+            COINS, NU3, 300, adversary=Stall(), adversary_device=2,
+            seed=5, max_stages=1_000_000,
+        )
+        assert time.perf_counter() - t0 < 10.0
+        assert np.all(b.outcome_idx == -1)
+        assert np.all(b.stages == 1_000_000)
+        assert b.verdicts() == ["device2_faulty"] * 300
+
+    def test_a_small_lam_minus_is_granted_a_jump(self):
+        lam = np.array([[1e-6, 1.0 - 1e-6]])
+        w = ScoreTable.from_coins(COINS).flat
+        succ = _successor_arrays(lam, w)
+        pol = _WeakPolicy.bind(Stall(), 1, COINS, LAM2.outcomes)
+        m, _, _ = _jump_plan(succ, pol.frozen_letter(succ.binding), 1, w, np.full(1, np.nan))
+        assert m[0] >= 16
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        p1=st.floats(0.05, 0.95),
+        p2=st.floats(0.05, 0.95),
+        weights=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5),
+        shrink=st.floats(0.0, 6.0),
+        dev=st.sampled_from([1, 2]),
+        attack=st.sampled_from([Stall(), Constant(ALPHA), Constant(BETA)]),
+    )
+    def test_granted_blocks_keep_the_structure(self, p1, p2, weights, shrink, dev, attack):
+        coins = BinaryCoinPair(p1, p2)
+        lam = np.array(weights)
+        lam[0] *= 10.0 ** -shrink
+        lam /= lam.sum()
+        w = ScoreTable.from_coins(coins).flat
+        succ = _successor_arrays(lam[None], w)
+        labels = tuple(f"o{j}" for j in range(lam.size))
+        target = ProbabilityVector.from_dict(dict(zip(labels, lam)))
+        letter = _WeakPolicy.bind(attack, dev, coins, target.outcomes).frozen_letter(succ.binding)
+        m, log_f, log_m = _jump_plan(succ, letter, dev, w, np.full(1, np.nan))
+        if m[0] < 1:
+            return
+        jp, jm, b = int(succ.j_plus[0]), int(succ.j_minus[0]), int(succ.binding[0])
+        log_f = log_f[0]
+        for honest in (int(np.argmax(log_f)), int(np.argmin(log_f))):
+            a1, a2 = (letter[0], honest) if dev == 1 else (honest, letter[0])
+            stages = int(min(m[0], 200))
+            if log_f[honest] > 0.0:
+                # a growing path nears t* at its end: start at the exact
+                # state of its last 200 stages
+                start = log_m[0] + (m[0] - stages) * log_f[honest]
+            else:
+                # a shrinking one: keep exact lam_minus above 1e-250
+                start = log_m[0]
+                if log_f[honest] < 0.0:
+                    stages = min(stages, int((math.log(1e-250) - start) / -log_f[honest]))
+            x = lam.copy()
+            x[jm] = math.exp(start)
+            x[jp] = lam[jp] + lam[jm] - x[jm]
+            for _ in range(stages):
+                mp = build_successor(x, coins)
+                assert (mp.j_plus, mp.j_minus, mp.binding_pair) == (jp, jm, b)
+                x = mp.successor(a1, a2)
+                assert np.all(x > 0.0)
