@@ -24,12 +24,9 @@ from .core import (
     BETA,
     BinaryCoinPair,
     BinaryPartition,
-    HonestStrategy,
     OutcomeSet,
     ProbabilityVector,
-    StageContext,
     Transcript,
-    binarize,
     device_streams,
     letter_from_name,
     substream,
@@ -68,7 +65,6 @@ from .stats import (
     EmpiricalDistribution,
     hoeffding_margin,
     linf_distance,
-    one_sided_excess,
 )
 from .strong import (
     CalibrationProbe,
@@ -77,24 +73,20 @@ from .strong import (
     ScoreTable,
     StrongBatch,
     StrongRunResult,
-    bind_strong,
     calibrate_C,
     run_strong,
     simulate_strong,
-    stage_bound,
 )
 from .weak import (
     DetectionVerdict,
     SuccessorMap,
     WeakBatch,
     WeakRunResult,
-    bind_weak,
     build_successor,
     default_max_stages,
     detect_fault,
     run_weak,
     simulate_weak,
-    step,
 )
 
 __version__ = "0.1.0"

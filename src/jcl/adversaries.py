@@ -3,8 +3,8 @@
 An adversary controls exactly one device while the other stays honest.
 Each entry here is a declarative spec.  Each mechanism module writes
 every spec's letter rule once, as one array rule over many runs: the
-batch engine applies it to all its runs, and the per-stage transcript
-runner applies the same rule to one run through an adapter.
+batch engine applies it to all its runs, and the one-run transcript
+runner applies the same rule to one-element arrays.
 
 The suite is finite and heuristic by design: it refutes broken
 mechanisms cheaply but never proves security.  Names accepted from
@@ -79,6 +79,17 @@ class Stall:
 
 
 AdversarySpec = Honest | Constant | Push | Stall
+
+
+def checked_spec(adversary: AdversarySpec | None, device: int) -> AdversarySpec:
+    """The spec an engine plays on ``device``: ``adversary``, or honest
+    play when it is None.  The other device is always honest."""
+    if device not in (1, 2):
+        raise ValueError(f"adversary_device must be 1 or 2, got {device}")
+    spec = adversary if adversary is not None else Honest()
+    if not isinstance(spec, AdversarySpec):
+        raise TypeError(f"engines need an adversary spec, got {spec!r}")
+    return spec
 
 
 def parse_adversary(name: str) -> AdversarySpec:

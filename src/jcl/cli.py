@@ -88,9 +88,17 @@ def _target(cfg: dict) -> ProbabilityVector:
     return ProbabilityVector.from_dict(raw)
 
 
+def _integral(value, key: str) -> int:
+    """``value`` as an int; bools and non-integral numbers are refused
+    rather than truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _adversary(cfg: dict) -> tuple[AdversarySpec | None, int]:
     name = cfg.get("adversary")
-    device = int(cfg.get("adversary_device", 1))
+    device = _integral(cfg.get("adversary_device", 1), "adversary_device")
     if device not in (1, 2):
         raise ConfigError(f"adversary_device must be 1 or 2, got {device}")
     if name is None:
@@ -102,7 +110,7 @@ def _int_setting(args_value, cfg: dict, key: str, default=None, *, what: str) ->
     value = args_value if args_value is not None else cfg.get(key, default)
     if value is None:
         raise ConfigError(f"{what} needs {key!r} (config key or flag)")
-    value = int(value)
+    value = _integral(value, key)
     if value < 0:
         raise ConfigError(f"{key} must be nonnegative, got {value}")
     return value

@@ -7,7 +7,7 @@ in this package (the bounded score lottery, the unbounded
 fault-revealing lottery, the quitting-game construction on top of them)
 is built from the primitives defined here: outcome sets, probability
 vectors, coin pairs, binary partitions of larger alphabets, transcripts,
-and device strategies.
+and seeded random streams.
 
 Letters are represented as the integers ``ALPHA = 0`` and ``BETA = 1``
 throughout; string names appear only at I/O boundaries.
@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -207,23 +207,6 @@ class BinaryPartition:
         return ALPHA if label in self.to_alpha else BETA
 
 
-def binarize(partition: BinaryPartition, probs: ProbabilityVector) -> float:
-    """Total alpha-part mass of ``probs`` under ``partition``.
-
-    Rejects distributions that put zero mass on either part: a device
-    whose letter stream is degenerate cannot drive any mechanism here.
-    """
-    if probs.outcomes != partition.source:
-        raise ValueError("probability vector is over a different alphabet than the partition")
-    p_alpha = sum(m for l, m in zip(probs.outcomes.labels, probs.mass) if l in partition.to_alpha)
-    p_alpha = float(p_alpha)
-    if p_alpha <= 0.0 or p_alpha >= 1.0:
-        raise ValueError(
-            f"partition gives alpha-part mass {p_alpha}; both parts need positive mass"
-        )
-    return p_alpha
-
-
 # --------------------------------------------------------------------------
 # transcripts
 
@@ -242,70 +225,6 @@ class Transcript:
 
     def __len__(self) -> int:
         return len(self.stages)
-
-
-# --------------------------------------------------------------------------
-# device strategies
-
-
-class DeviceStrategy(Protocol):
-    """Per-stage behavior of one device.
-
-    ``prob_alpha`` returns the probability of emitting alpha at the
-    current stage, given a :class:`StageContext` exposing the full
-    public transcript and the mechanism internals.  Honest devices
-    ignore the context; adversarial ones may use all of it.
-    """
-
-    def prob_alpha(self, ctx: "StageContext") -> float: ...
-
-
-@dataclass
-class StageContext:
-    """Everything a device strategy may condition on at one stage."""
-
-    device: int                  # 1 or 2: the device this strategy drives
-    stage: int                   # 0-based index of the stage being played
-    own_letters: list[int]
-    partner_letters: list[int]
-    mech: object                 # mechanism view (see strong/weak modules)
-
-
-@dataclass(frozen=True)
-class HonestStrategy:
-    """Stationary strategy: alpha with fixed probability every stage."""
-
-    p_alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.p_alpha < 1.0:
-            raise ValueError(f"honest letter probability must be in (0, 1), got {self.p_alpha}")
-
-    def prob_alpha(self, ctx: StageContext) -> float:
-        return self.p_alpha
-
-
-def sample_stage(
-    s1: DeviceStrategy,
-    s2: DeviceStrategy,
-    ctx1: StageContext,
-    ctx2: StageContext,
-    rng1: np.random.Generator,
-    rng2: np.random.Generator,
-) -> tuple[int, int]:
-    """Draw one letter pair, one uniform variate per device.
-
-    Each device consumes exactly one draw from its own stream per
-    stage, so honest streams replay identically no matter what the
-    other device does.
-    """
-    pair = []
-    for strat, ctx, rng in ((s1, ctx1, rng1), (s2, ctx2, rng2)):
-        p = float(strat.prob_alpha(ctx))
-        if not (0.0 <= p <= 1.0) or not math.isfinite(p):
-            raise ValueError(f"strategy returned invalid letter probability {p!r}")
-        pair.append(ALPHA if rng.random() < p else BETA)
-    return pair[0], pair[1]
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .core import (
     ProbabilityVector,
     substream,
 )
-from .strong import CalibrationResult, calibrate_C, run_strong, simulate_strong
+from .strong import CalibrationResult, calibrate_C, simulate_strong
 
 QUIT = "quit"       # reserved quit-action label, distinct from continue actions
 NOBODY = "0"        # designation label for blocks where nobody may quit
@@ -562,20 +562,20 @@ def play(
     seed: int = 0,
     context: tuple = (),
 ) -> PlayResult:
-    """Play one full game run stage by stage over the profile's T blocks.
+    """Play one full game run over the profile's T blocks.
 
-    Absorption draws the other players' actions exactly as the batch
-    does.  A non-absorbed run's payoff is the exact expected stage
-    payoff of the continuing play, which is what its running average
-    converges to.
+    Each block's lottery is one exact :func:`simulate_strong` run, and
+    ``stage`` counts its stopping stages plus one stage per block for
+    the designee's quit draw.  Absorption draws the other players'
+    actions exactly as the batch does.  A non-absorbed run's payoff is
+    the exact expected stage payoff of the continuing play, which is
+    what its running average converges to.
     """
     game = profile.game
     if deviator is not None:
         _validate_deviator(profile, deviator)
     harness = substream(seed, *context, "game")
     spec, spec_device = _lottery_specs(profile, deviator)
-    s1 = spec if spec is not None and spec_device == 1 else None
-    s2 = spec if spec is not None and spec_device == 2 else None
 
     def absorbed(quitter: str, stage: int, block: int) -> PlayResult:
         quitter_idx = np.array([game.players.index(quitter)])
@@ -593,12 +593,13 @@ def play(
                 and deviator[1].block == t + 1:
             return absorbed(deviator[0], stage + 1, t + 1)
 
-        lottery = run_strong(
-            profile.coins, nu_t, profile.C, s1, s2,
-            seed=seed, record=False, context=(*context, "block", t),
+        batch = simulate_strong(
+            profile.coins, nu_t, profile.C, 1,
+            adversary=spec, adversary_device=spec_device,
+            seed=seed, context=(*context, "block", t),
         )
-        stage += lottery.stages
-        designee = lottery.outcome
+        stage += int(batch.stages[0])
+        designee = nu_t.outcomes.labels[batch.outcome_idx[0]]
         quit_now = False
         if designee != NOBODY:
             e = _eta_value(profile.sunspot.eta, t, designee)
@@ -667,9 +668,9 @@ def simulate_block_profile(
     """Run many block-profile plays at once.
 
     Stage counts inside blocks do not affect payoffs, so only block
-    granularity is tracked here; use :func:`play` for true per-stage
-    runs.  Dirac designations skip the lottery since its outcome is
-    forced regardless of letters.
+    granularity is tracked here; :func:`play` also counts the stages
+    of one run.  Dirac designations skip the lottery since its outcome
+    is forced regardless of letters.
     """
     if runs < 0:
         raise ValueError(f"runs must be nonnegative, got {runs}")

@@ -53,21 +53,11 @@ class EmpiricalDistribution:
         return self.counts / self.n
 
 
-def _check_target(emp: EmpiricalDistribution, target: ProbabilityVector) -> None:
-    if target.outcomes != emp.outcomes:
-        raise ValueError("target distribution is over a different outcome set")
-
-
 def linf_distance(emp: EmpiricalDistribution, target: ProbabilityVector) -> float:
     """Largest absolute per-label gap between frequencies and target."""
-    _check_target(emp, target)
+    if target.outcomes != emp.outcomes:
+        raise ValueError("target distribution is over a different outcome set")
     return float(np.max(np.abs(emp.freq() - target.mass)))
-
-
-def one_sided_excess(emp: EmpiricalDistribution, target: ProbabilityVector) -> np.ndarray:
-    """Per-label max(freq - target, 0): only upward deviations count."""
-    _check_target(emp, target)
-    return np.maximum(emp.freq() - target.mass, 0.0)
 
 
 def hoeffding_margin(n: int, num_labels: int, delta: float) -> float:

@@ -17,8 +17,8 @@ plays one run stage by stage and can record a transcript, while
 :func:`simulate_strong` advances many runs at once and is exact in
 distribution, not an approximation.  Each adversary spec's letter
 rule lives only in its :class:`_StrongPlan`: the batch engine steers
-its active runs with the plan, and :func:`run_strong` steers a single
-run with the same plan through :class:`BoundStrongAdversary`.
+its active runs with the plan, and :func:`run_strong` steers its one
+run with the same plan on one-element arrays.
 
 The batch engine jumps each run a block sized by its own letter law,
 the largest ``m`` with ``m*mu + 4*sigma*sqrt(m)`` inside the remaining
@@ -38,18 +38,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversaries import AdversarySpec, Constant, Honest, Stall
+from .adversaries import AdversarySpec, Constant, Honest, Stall, checked_spec
 from .core import (
     ALPHA,
     BETA,
     BinaryCoinPair,
-    DeviceStrategy,
     OutcomeSet,
     ProbabilityVector,
-    StageContext,
     Transcript,
     device_streams,
-    sample_stage,
 )
 from .normal import normal_quantile
 from .stats import EmpiricalDistribution, hoeffding_margin, linf_distance
@@ -166,16 +163,6 @@ class ScoreTable:
         return float(self._moments_given(device)[letter])
 
 
-def stage_bound(coins: BinaryCoinPair, C: float) -> int:
-    """Published conservative stage bound ceil(C / c0^4).
-
-    Each table entry is a product of two letter probabilities, so its
-    magnitude is at least c0^2 and each squared increment at least
-    c0^4.  The engine enforces the tighter ceil(C / min|w|^2) cap.
-    """
-    return math.ceil(C / coins.c0**4)
-
-
 class IntervalPartition:
     """Quantile partition of the normal line matching a target vector.
 
@@ -208,18 +195,6 @@ class IntervalPartition:
         """Interior aim point of a cell: quantile of its mid cumulative."""
         mid = 0.5 * (self.cums[index] + self.cums[index + 1])
         return normal_quantile(mid)
-
-
-@dataclass
-class _StrongView:
-    """Mechanism state a strategy may read through ``StageContext.mech``."""
-
-    C: float
-    table: ScoreTable
-    partition: IntervalPartition
-    counts: list[int] = field(default_factory=lambda: [0, 0, 0, 0])  # pair order
-    sum_y: float = 0.0
-    sum_y2: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -292,23 +267,6 @@ class _StrongPlan:
         return np.where(finished, cap, np.minimum(self.review - st % self.review, cap))
 
 
-class BoundStrongAdversary:
-    """Per-stage adapter of one spec's :class:`_StrongPlan` for
-    :func:`run_strong`: the plan applied to one-run arrays."""
-
-    def __init__(self, spec: AdversarySpec, device: int, table: ScoreTable,
-                 partition: IntervalPartition, C: float):
-        self.plan = _StrongPlan.bind(spec, device, table, partition, C)
-
-    def prob_alpha(self, ctx: StageContext) -> float:
-        if ctx.stage == 0:
-            self._state = np.full(1, self.plan.start)
-            self._finished = np.zeros(1, dtype=bool)
-        counts = np.array(ctx.mech.counts).reshape(4, 1)
-        self.plan.steer(np.full(1, ctx.stage), counts, self._state, self._finished, 1)
-        return float(self.plan.p_of[self._state[0]])
-
-
 def _far_letters(table: ScoreTable, device: int) -> tuple[int, int]:
     """Letters maximizing P(step > 0) resp. P(step < 0) for ``device``."""
     other = 2 if device == 1 else 1
@@ -322,21 +280,6 @@ def _far_letters(table: ScoreTable, device: int) -> tuple[int, int]:
     f_pos = ALPHA if pos[ALPHA] >= pos[BETA] else BETA
     f_neg = ALPHA if 1.0 - pos[ALPHA] >= 1.0 - pos[BETA] else BETA
     return f_pos, f_neg
-
-
-def bind_strong(
-    spec: AdversarySpec | DeviceStrategy,
-    device: int,
-    table: ScoreTable,
-    partition: IntervalPartition,
-    C: float,
-) -> DeviceStrategy:
-    """Turn a spec into a per-stage strategy; pass strategies through."""
-    if isinstance(spec, AdversarySpec):
-        return BoundStrongAdversary(spec, device, table, partition, C)
-    if hasattr(spec, "prob_alpha"):
-        return spec
-    raise TypeError(f"not an adversary spec or device strategy: {spec!r}")
 
 
 @dataclass(frozen=True)
@@ -354,60 +297,64 @@ def run_strong(
     coins: BinaryCoinPair,
     target: ProbabilityVector,
     C: float,
-    s1: AdversarySpec | DeviceStrategy | None = None,
-    s2: AdversarySpec | DeviceStrategy | None = None,
     *,
+    adversary: AdversarySpec | None = None,
+    adversary_device: int = 1,
     seed: int = 0,
     record: bool = True,
     context: tuple = (),
 ) -> StrongRunResult:
     """Play one bounded lottery run stage by stage.
 
-    ``s1``/``s2`` default to honest play.  The per-stage path exists
-    for transcripts and for differential tests against the block
-    engine; use :func:`simulate_strong` for anything statistical.
+    Each stage draws one uniform per device from the streams that
+    :func:`simulate_strong` reads, and the adversary's plan is reviewed
+    on one-element arrays, so ``m_cap=1`` batches replay these runs.
+    The per-stage path exists for transcripts and for differential
+    tests against the block engine; use :func:`simulate_strong` for
+    anything statistical.
     """
     if C <= 0:
         raise ValueError(f"C must be positive, got {C}")
+    spec = checked_spec(adversary, adversary_device)
     table = ScoreTable.from_coins(coins)
     partition = IntervalPartition(target)
-    st1 = bind_strong(s1 if s1 is not None else Honest(), 1, table, partition, C)
-    st2 = bind_strong(s2 if s2 is not None else Honest(), 2, table, partition, C)
+    plan = _StrongPlan.bind(spec, adversary_device, table, partition, C)
     rng1, rng2, _ = device_streams(seed, *context)
-    view = _StrongView(C=C, table=table, partition=partition)
-    letters1: list[int] = []
-    letters2: list[int] = []
+    p = [coins.prob(1, ALPHA), coins.prob(2, ALPHA)]
+    state, finished = np.full(1, plan.start), np.zeros(1, dtype=bool)
     w = tuple(float(v) for v in table.flat)
     w2 = tuple(v * v for v in w)
-    counts = view.counts
+    counts = [0, 0, 0, 0]   # pair order
+    letters: list[tuple[int, int]] = []
     # Two extra stages of slack: a run advancing at exactly the minimum
     # increment lands on the cap, and rounding in the clock can shift
     # the crossing by a stage.
     cap = table.stage_cap(C) + 2
     stage = 0
-    while view.sum_y2 < C:
-        ctx1 = StageContext(1, stage, letters1, letters2, view)
-        ctx2 = StageContext(2, stage, letters2, letters1, view)
-        a1, a2 = sample_stage(st1, st2, ctx1, ctx2, rng1, rng2)
-        letters1.append(a1)
-        letters2.append(a2)
+    while _dot(counts, w2) < C:
+        if plan.review:     # only the push rule ever changes state
+            plan.steer(np.full(1, stage), np.array(counts).reshape(4, 1), state, finished, 1)
+        p[adversary_device - 1] = plan.p_of[state[0]]
+        a1 = ALPHA if rng1.random() < p[0] else BETA
+        a2 = ALPHA if rng2.random() < p[1] else BETA
         counts[2 * a1 + a2] += 1
-        view.sum_y = _dot(counts, w)
-        view.sum_y2 = _dot(counts, w2)
+        if record:
+            letters.append((a1, a2))
         stage += 1
         if stage > cap:
             raise AssertionError("variance clock failed to reach C within the hard cap")
-    z = view.sum_y / math.sqrt(C)
+    sum_y = _dot(counts, w)
+    z = sum_y / math.sqrt(C)
     idx = partition.index_of(z)
     label = partition.outcomes.labels[idx]
-    transcript = Transcript(stages=list(zip(letters1, letters2)), terminal=label) if record else None
+    transcript = Transcript(stages=letters, terminal=label) if record else None
     return StrongRunResult(
         outcome=label,
         outcome_index=idx,
         stages=stage,
         z=z,
-        sum_y=view.sum_y,
-        sum_y2=view.sum_y2,
+        sum_y=sum_y,
+        sum_y2=_dot(counts, w2),
         transcript=transcript,
     )
 
@@ -567,13 +514,9 @@ def simulate_strong(
         raise ValueError(f"C must be positive, got {C}")
     if runs < 0:
         raise ValueError(f"runs must be nonnegative, got {runs}")
-    if adversary_device not in (1, 2):
-        raise ValueError(f"adversary_device must be 1 or 2, got {adversary_device}")
+    spec = checked_spec(adversary, adversary_device)
     table = ScoreTable.from_coins(coins)
     partition = IntervalPartition(target)
-    spec = adversary if adversary is not None else Honest()
-    if not isinstance(spec, AdversarySpec):
-        raise TypeError(f"batch engine needs an adversary spec, got {spec!r}")
     plan = _StrongPlan.bind(spec, adversary_device, table, partition, C)
 
     dev1, dev2, harness = device_streams(seed, *context)

@@ -18,10 +18,10 @@ does.
 
 :func:`run_weak` plays one run stage by stage with a transcript and
 :func:`simulate_weak` advances many runs at once, jumping the frozen
-phase of stalled runs by exact binomial blocks.  Both read each
-adversary spec's letter rule from its :class:`_WeakPolicy`, over the
-successor arrays of one run or of all active runs, and both blame by
-one checked verdict rule.
+phase of stalled runs by exact binomial blocks.  Both step beliefs by
+one successor rule, :func:`_successor_arrays` (over one row or over
+all active runs), read each adversary spec's letter rule from its
+:class:`_WeakPolicy`, and blame by one checked verdict rule.
 """
 
 from __future__ import annotations
@@ -32,18 +32,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adversaries import AdversarySpec, Constant, Honest, Push, Stall
+from .adversaries import AdversarySpec, Constant, Honest, Push, Stall, checked_spec
 from .core import (
     ALPHA,
     BETA,
     BinaryCoinPair,
-    DeviceStrategy,
     OutcomeSet,
     ProbabilityVector,
-    StageContext,
     Transcript,
     device_streams,
-    sample_stage,
 )
 from .stats import EmpiricalDistribution
 from .strong import ScoreTable
@@ -220,30 +217,6 @@ def build_successor(
     )
 
 
-def step(
-    lam: np.ndarray | ProbabilityVector,
-    a1: int,
-    a2: int,
-    coins: BinaryCoinPair | ScoreTable,
-) -> np.ndarray:
-    """Apply one letter pair to a belief vector."""
-    m = build_successor(lam, coins)
-    if m is None:
-        raise ValueError("lottery already decided, no successor exists")
-    return m.successor(a1, a2)
-
-
-@dataclass
-class _WeakView:
-    """Mechanism state a strategy may read through ``StageContext.mech``."""
-
-    table: ScoreTable
-    target: ProbabilityVector
-    lam: np.ndarray
-    map: SuccessorMap | None = None
-    stage: int = 0
-
-
 @dataclass(frozen=True)
 class _WeakPolicy:
     """The one definition of an adversary spec's letter rule, bound to a
@@ -295,29 +268,12 @@ class _WeakPolicy:
         return np.where(letter == _shrink_letter(binding, self.device), -1, letter)
 
 
-class BoundWeakAdversary:
-    """Per-stage adapter of one spec's :class:`_WeakPolicy` for
-    :func:`run_weak`: the policy applied to one successor map."""
-
-    def __init__(self, spec: AdversarySpec, device: int, table: ScoreTable, outcomes: OutcomeSet):
-        self.policy = _WeakPolicy.bind(spec, device, table.coins, outcomes)
-
-    def prob_alpha(self, ctx: StageContext) -> float:
-        m: SuccessorMap = ctx.mech.map
-        return float(self.policy.p_alpha(np.array([m.binding_pair]), lambda t: m.d[None, :, t])[0])
-
-
-def bind_weak(
-    spec: AdversarySpec | DeviceStrategy,
-    device: int,
-    table: ScoreTable,
-    outcomes: OutcomeSet,
-) -> DeviceStrategy:
-    if isinstance(spec, AdversarySpec):
-        return BoundWeakAdversary(spec, device, table, outcomes)
-    if hasattr(spec, "prob_alpha"):
-        return spec
-    raise TypeError(f"not an adversary spec or device strategy: {spec!r}")
+def _policies(spec: AdversarySpec, adversary_device: int, coins: BinaryCoinPair,
+              outcomes: OutcomeSet) -> list[_WeakPolicy]:
+    """Both devices' policies: ``spec`` on ``adversary_device``, honest
+    play on the other."""
+    return [_WeakPolicy.bind(spec if dev == adversary_device else Honest(), dev, coins, outcomes)
+            for dev in (1, 2)]
 
 
 @dataclass(frozen=True)
@@ -333,9 +289,9 @@ class WeakRunResult:
 def run_weak(
     coins: BinaryCoinPair,
     target: ProbabilityVector,
-    s1: AdversarySpec | DeviceStrategy | None = None,
-    s2: AdversarySpec | DeviceStrategy | None = None,
     *,
+    adversary: AdversarySpec | None = None,
+    adversary_device: int = 1,
     seed: int = 0,
     max_stages: int | None = None,
     record: bool = True,
@@ -346,10 +302,13 @@ def run_weak(
 ) -> WeakRunResult:
     """Play one detecting lottery run stage by stage.
 
-    Transcript stage records are (a1, a2, shrink1, shrink2) so that a
-    third party can audit who kept avoiding their binding letter; the
-    returned verdict is detect_fault on that transcript with the given
-    window and thresholds.
+    Each stage applies the batch engine's successor rule and letter
+    policies to a one-row batch and draws one uniform per device, so a
+    ``_per_stage=True`` batch replays these runs.  Transcript stage
+    records are (a1, a2, shrink1, shrink2) so that a third party can
+    audit who kept avoiding their binding letter; the returned verdict
+    is detect_fault on that transcript with the given window and
+    thresholds.
 
     Beliefs are floats.  Under a stall at coins 0.3/0.7, lam_minus
     reaches the subnormal floor after about 2e4 stages; the successor
@@ -357,37 +316,29 @@ def run_weak(
     as a decision.  :func:`simulate_weak` carries stalled runs past
     that floor in log form.
     """
+    spec = checked_spec(adversary, adversary_device)
     table = ScoreTable.from_coins(coins)
     if max_stages is None:
         max_stages = default_max_stages(coins, target)
     if max_stages < 0:
         raise ValueError(f"max_stages must be nonnegative, got {max_stages}")
-    st1 = bind_weak(s1 if s1 is not None else Honest(), 1, table, target.outcomes)
-    st2 = bind_weak(s2 if s2 is not None else Honest(), 2, table, target.outcomes)
+    pol1, pol2 = _policies(spec, adversary_device, coins, target.outcomes)
     rng1, rng2, _ = device_streams(seed, *context)
-    view = _WeakView(table=table, target=target, lam=target.mass.copy())
-    letters1: list[int] = []
-    letters2: list[int] = []
+    w = table.flat.copy()
+    lam = target.mass.copy()
     records: list[tuple[int, int, int, int]] = []
     stage = 0
-    while stage < max_stages:
-        m = build_successor(view.lam, table)
-        if m is None:
-            break
-        view.map = m
-        view.stage = stage
-        ctx1 = StageContext(1, stage, letters1, letters2, view)
-        ctx2 = StageContext(2, stage, letters2, letters1, view)
-        a1, a2 = sample_stage(st1, st2, ctx1, ctx2, rng1, rng2)
-        letters1.append(a1)
-        letters2.append(a2)
+    while stage < max_stages and np.count_nonzero(lam > 0.0) > 1:
+        succ = _successor_arrays(lam[None], w)
+        a1 = ALPHA if rng1.random() < pol1.p_alpha(succ.binding, succ.column)[0] else BETA
+        a2 = ALPHA if rng2.random() < pol2.p_alpha(succ.binding, succ.column)[0] else BETA
         if record:
-            records.append((a1, a2, m.shrink_letter(1), m.shrink_letter(2)))
-        view.lam = m.successor(a1, a2)
+            b = int(succ.binding[0])
+            records.append((a1, a2, _shrink_letter(b, 1), _shrink_letter(b, 2)))
+        lam = succ.rows(np.array([2 * a1 + a2]))[0]
         stage += 1
-    decided = build_successor(view.lam, table) is None
-    if decided:
-        idx = int(np.argmax(view.lam))
+    if np.count_nonzero(lam > 0.0) <= 1:
+        idx = int(np.argmax(lam))
         outcome = target.outcomes.labels[idx]
     else:
         idx, outcome = -1, None
@@ -398,7 +349,7 @@ def run_weak(
             transcript, coins,
             window=window, faulty_below=faulty_below, honest_above=honest_above,
         )
-    return WeakRunResult(outcome, idx, stage, view.lam, transcript, verdict)
+    return WeakRunResult(outcome, idx, stage, lam, transcript, verdict)
 
 
 @dataclass(frozen=True)
@@ -603,8 +554,7 @@ def simulate_weak(
     """
     if runs < 0:
         raise ValueError(f"runs must be nonnegative, got {runs}")
-    if adversary_device not in (1, 2):
-        raise ValueError(f"adversary_device must be 1 or 2, got {adversary_device}")
+    spec = checked_spec(adversary, adversary_device)
     table = ScoreTable.from_coins(coins)
     if max_stages is None:
         max_stages = default_max_stages(coins, target)
@@ -612,13 +562,7 @@ def simulate_weak(
         raise ValueError(f"max_stages must be nonnegative, got {max_stages}")
     if window < 1:
         raise ValueError(f"window must be positive, got {window}")
-    spec = adversary if adversary is not None else Honest()
-    if not isinstance(spec, AdversarySpec):
-        raise TypeError(f"batch engine needs an adversary spec, got {spec!r}")
-    pols = [
-        _WeakPolicy.bind(spec if dev == adversary_device else Honest(), dev, coins, target.outcomes)
-        for dev in (1, 2)
-    ]
+    pols = _policies(spec, adversary_device, coins, target.outcomes)
     pol1, pol2 = pols
     honest_dev = 3 - adversary_device
     adv_pol, honest_pol = pols[adversary_device - 1], pols[honest_dev - 1]

@@ -133,6 +133,9 @@ class TestConfigErrors:
         ({"adversary_device": 3}, "adversary_device must be 1 or 2"),
         ({"adversary": "sabotage"}, "unknown adversary"),
         ({"C": None, "eps": None}, "needs either 'C'"),
+        ({"runs": 2.5}, "runs must be an integer, got 2.5"),
+        ({"seed": 1.9}, "seed must be an integer, got 1.9"),
+        ({"adversary_device": 2.7}, "adversary_device must be an integer, got 2.7"),
     ])
     def test_bad_config_exits_2(self, tmp_path, mutate, needle):
         cfg = {k: v for k, v in {**STRONG_CFG, **mutate}.items() if v is not None}
@@ -140,6 +143,20 @@ class TestConfigErrors:
         r = run_cli("lottery-strong", "--config", path, "--out", str(tmp_path / "o.csv"))
         assert r.returncode == 2
         assert needle in r.stderr
+
+    def test_bool_setting_is_not_an_integer(self, tmp_path):
+        path = write_cfg(tmp_path, {**WEAK_CFG, "runs": 5, "window": True})
+        r = run_cli("detect", "--config", path, "--out", str(tmp_path / "d.csv"))
+        assert r.returncode == 2
+        assert "window must be an integer, got True" in r.stderr
+
+    def test_integral_float_settings_are_accepted(self, tmp_path):
+        out = tmp_path / "o.csv"
+        r = run_cli("lottery-strong", "--config",
+                    write_cfg(tmp_path, {**STRONG_CFG, "runs": 4e2, "adversary_device": 2.0}),
+                    "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        assert len(out.read_text().splitlines()) == 401
 
     @pytest.mark.parametrize("command,flag", [
         ("lottery-strong", ["--max-stages", "3"]),

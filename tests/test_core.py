@@ -6,14 +6,10 @@ from jcl.core import (
     BETA,
     BinaryCoinPair,
     BinaryPartition,
-    HonestStrategy,
     OutcomeSet,
     ProbabilityVector,
-    StageContext,
-    binarize,
     device_streams,
     letter_from_name,
-    sample_stage,
     substream,
 )
 
@@ -96,19 +92,6 @@ class TestBinarize:
         assert part.letter_of("x") == ALPHA
         assert part.letter_of("z") == BETA
 
-    def test_alpha_mass(self):
-        s = OutcomeSet(("x", "y", "z"))
-        part = BinaryPartition(s, frozenset({"x", "y"}))
-        probs = ProbabilityVector(s, [0.2, 0.3, 0.5])
-        assert binarize(part, probs) == pytest.approx(0.5)
-
-    def test_degenerate_part_rejected(self):
-        s = OutcomeSet(("x", "y"))
-        part = BinaryPartition(s, frozenset({"x"}))
-        probs = ProbabilityVector(s, [1.0, 0.0])
-        with pytest.raises(ValueError):
-            binarize(part, probs)
-
     def test_improper_partition_rejected(self):
         s = OutcomeSet(("x", "y"))
         with pytest.raises(ValueError):
@@ -135,15 +118,3 @@ class TestStreams:
         vals = {float(d1.random()), float(d2.random()), float(h.random())}
         assert len(vals) == 3
 
-
-def test_sample_stage_uses_one_draw_per_device():
-    s1 = HonestStrategy(0.3)
-    s2 = HonestStrategy(0.7)
-    ctx1 = StageContext(1, 0, [], [], None)
-    ctx2 = StageContext(2, 0, [], [], None)
-    r1a, r2a, _ = device_streams(5, "t")
-    a = sample_stage(s1, s2, ctx1, ctx2, r1a, r2a)
-    r1b, r2b, _ = device_streams(5, "t")
-    b = sample_stage(s1, s2, ctx1, ctx2, r1b, r2b)
-    assert a == b
-    assert a[0] in (ALPHA, BETA) and a[1] in (ALPHA, BETA)

@@ -106,7 +106,7 @@ def _specs():
     target = ProbabilityVector.from_dict(TARGET)
     for spec in [Honest()] + default_suite(target.outcomes.labels):
         for device in (1, 2):
-            args = {"s1": spec} if device == 1 else {"s2": spec}
+            args = {"adversary": spec} if device == 1 else {"adversary": spec, "adversary_device": 2}
             yield coins, target, spec, device, args
 
 

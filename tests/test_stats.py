@@ -8,7 +8,6 @@ from jcl.stats import (
     EmpiricalDistribution,
     hoeffding_margin,
     linf_distance,
-    one_sided_excess,
 )
 
 S2 = OutcomeSet(("a", "b"))
@@ -32,18 +31,6 @@ class TestDistances:
         e = EmpiricalDistribution(S2, np.array([30, 70]))
         t = ProbabilityVector(S2, [0.25, 0.75])
         assert linf_distance(e, t) == pytest.approx(0.05)
-        e2 = EmpiricalDistribution(S2, np.array([60, 40]))
-        t2 = ProbabilityVector(S2, [0.5, 0.5])
-        assert one_sided_excess(e2, t2) == pytest.approx([0.1, 0.0])
-
-    def test_excess_below_linf(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            counts = rng.integers(0, 50, size=3)
-            counts[0] += 1
-            e = EmpiricalDistribution(S3, counts)
-            t = ProbabilityVector(S3, rng.dirichlet(np.ones(3)))
-            assert np.all(one_sided_excess(e, t) <= linf_distance(e, t) + 1e-15)
 
     def test_metric_properties(self):
         rng = np.random.default_rng(5)

@@ -18,7 +18,6 @@ from jcl import (
     Push,
     ScoreTable,
     Stall,
-    bind_strong,
     calibrate_C,
     default_suite,
     hoeffding_margin,
@@ -27,7 +26,6 @@ from jcl import (
     normal_quantile,
     run_strong,
     simulate_strong,
-    stage_bound,
 )
 
 COINS = BinaryCoinPair(0.3, 0.7)
@@ -90,8 +88,7 @@ class TestScoreTable:
         c = BinaryCoinPair(0.3, 0.5)
         t = ScoreTable.from_coins(c)
         assert t.stage_cap(100.0) == math.ceil(100.0 / 0.15**2)
-        assert stage_bound(c, 100.0) == math.ceil(100.0 / 0.3**4)
-        assert t.stage_cap(100.0) <= stage_bound(c, 100.0)
+        assert t.stage_cap(100.0) <= math.ceil(100.0 / c.c0**4)
 
 
 class TestIntervalPartition:
@@ -179,7 +176,7 @@ class TestRunStrong:
         cap = t.stage_cap(12.0) + 2
         for spec in default_suite(NU3.outcomes.labels):
             for dev in (1, 2):
-                args = {"s1": spec} if dev == 1 else {"s2": spec}
+                args = {"adversary": spec} if dev == 1 else {"adversary": spec, "adversary_device": 2}
                 r = run_strong(COINS, NU3, 12.0, seed=1, **args)
                 assert r.stages <= cap
 
@@ -187,19 +184,9 @@ class TestRunStrong:
         with pytest.raises(ValueError, match="positive"):
             run_strong(COINS, NU3, 0.0)
 
-    def test_custom_strategy_passthrough(self):
-        class Fixed:
-            def prob_alpha(self, ctx):
-                return 1.0
-
-        t = ScoreTable.from_coins(COINS)
-        part = IntervalPartition(NU3)
-        obj = Fixed()
-        assert bind_strong(obj, 1, t, part, 10.0) is obj
-        r = run_strong(COINS, NU3, 5.0, s1=obj, seed=2)
-        assert all(a1 == ALPHA for a1, _ in r.transcript.stages)
+    def test_rejects_non_spec_adversary(self):
         with pytest.raises(TypeError, match="adversary spec"):
-            bind_strong(object(), 1, t, part, 10.0)
+            run_strong(COINS, NU3, 5.0, adversary=object())
 
 
 class TestSimulateStrong:
@@ -284,7 +271,7 @@ class TestSimulateStrong:
         seq_idx = []
         for i in range(n):
             r = run_strong(
-                COINS, NU3, C, s1=Push("a"), seed=31, record=False, context=("q", i)
+                COINS, NU3, C, adversary=Push("a"), seed=31, record=False, context=("q", i)
             )
             seq_stages.append(r.stages)
             seq_idx.append(r.outcome_index)
@@ -324,7 +311,8 @@ class TestOneClock:
         block = simulate_strong(GAME_COINS, NU3, C, 200, **kw)
         step = simulate_strong(GAME_COINS, NU3, C, 200, m_cap=1, **kw)
         seq = [
-            run_strong(GAME_COINS, NU3, C, s1=Stall(), seed=3, record=False, context=("c", i)).stages
+            run_strong(GAME_COINS, NU3, C, adversary=Stall(), seed=3, record=False,
+                       context=("c", i)).stages
             for i in range(10)
         ]
         assert set(block.stages) == set(step.stages) == set(seq) == {expect}

@@ -24,10 +24,8 @@ from jcl import (
     detect_fault,
     hoeffding_margin,
     linf_distance,
-    one_sided_excess,
     run_weak,
     simulate_weak,
-    step,
 )
 from jcl.strong import ScoreTable
 from jcl.weak import _jump_plan, _successor_arrays, _WeakPolicy
@@ -67,12 +65,6 @@ class TestSuccessor:
         assert build_successor(np.array([0.0, 1.0]), COINS) is None
         assert build_successor(ProbabilityVector.dirac(LAM2.outcomes, "x"), COINS) is None
         assert build_successor(np.array([1e-300, 1.0 - 1e-300]), COINS) is not None
-
-    def test_step_applies_pair(self):
-        out = step(LAM2, ALPHA, BETA, COINS)
-        assert np.allclose(out, [0.0, 1.0], atol=1e-15)
-        with pytest.raises(ValueError, match="decided"):
-            step(np.array([0.0, 1.0]), ALPHA, ALPHA, COINS)
 
     def test_tie_breaks_take_first_index(self):
         m = build_successor(np.array([1 / 3, 1 / 3, 1 / 3]), COINS)
@@ -179,14 +171,15 @@ class TestRunWeak:
 
     def test_stalling_device_is_blamed_from_the_transcript(self):
         r = run_weak(
-            COINS, LAM2, s1=Stall(), seed=2, max_stages=1500, window=1000
+            COINS, LAM2, adversary=Stall(), seed=2, max_stages=1500, window=1000
         )
         assert r.outcome is None
         assert r.verdict.verdict == "device1_faulty"
         assert r.verdict.match_rate1 == 0.0
         assert r.verdict.match_rate2 > 0.2
         r = run_weak(
-            COINS, LAM2, s2=Stall(), seed=2, max_stages=1500, window=1000
+            COINS, LAM2, adversary=Stall(), adversary_device=2, seed=2, max_stages=1500,
+            window=1000
         )
         assert r.verdict.verdict == "device2_faulty"
 
