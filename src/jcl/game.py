@@ -645,7 +645,6 @@ class BlockSimResult:
     block: np.ndarray           # int64, 1-based absorption block, -1 if none
     quitter: np.ndarray         # int64 player index, -1 if none
     payoff: np.ndarray          # (runs, |I|)
-    block_outcomes: np.ndarray | None = None    # (runs, T) lottery cell per block
 
     @property
     def runs(self) -> int:
@@ -656,6 +655,34 @@ class BlockSimResult:
         return float(np.mean(self.block >= 0)) if self.runs else 0.0
 
 
+def _block_laws(
+    profile: BlockProfile, horizon: int,
+) -> tuple[np.ndarray, list[ProbabilityVector], np.ndarray]:
+    """Per-block designation laws and quit rates over ``horizon`` blocks.
+
+    Returns each block's index into the list of distinct laws, that
+    list, and the quit rates as a (horizon, |I|+1) array whose last
+    column, NOBODY's, is 0.  Every block is checked before anything is
+    drawn.
+    """
+    players = profile.game.players
+    law_of = np.empty(horizon, dtype=np.int64)
+    laws: list[ProbabilityVector] = []
+    seen: dict[bytes, int] = {}
+    eta = np.zeros((horizon, len(players) + 1))
+    for t in range(horizon):
+        nu_t = profile.sunspot.designation.probs(t)
+        if nu_t.outcomes.labels != profile.lottery_outcomes.labels:
+            raise ValueError(f"designation at block {t} switched outcome sets")
+        key = nu_t.mass.tobytes()
+        if key not in seen:
+            seen[key] = len(laws)
+            laws.append(nu_t)
+        law_of[t] = seen[key]
+        eta[t, :-1] = [_eta_value(profile.sunspot.eta, t, p) for p in players]
+    return law_of, laws, eta
+
+
 def simulate_block_profile(
     profile: BlockProfile,
     runs: int,
@@ -663,14 +690,30 @@ def simulate_block_profile(
     deviator: tuple[str, Deviation] | None = None,
     seed: int = 0,
     context: tuple = (),
-    collect_blocks: bool = False,
 ) -> BlockSimResult:
-    """Run many block-profile plays at once.
+    """Run many block-profile plays at once, drawing a block's lottery
+    only where a quit can happen.
 
-    Stage counts inside blocks do not affect payoffs, so only block
-    granularity is tracked here; :func:`play` also counts the stages
-    of one run.  Dirac designations skip the lottery since its outcome
-    is forced regardless of letters.
+    A run absorbs at block t when its lottery names a player j and an
+    independent coin falls below eta_t(j).  With eta_max the largest
+    eta_t(j) over the horizon, the blocks where the coin falls below
+    eta_max (the candidates) form a Bernoulli(eta_max) process, so the
+    next candidate is one geometric draw away.  Only a candidate block
+    draws its lottery outcome j, and it quits with probability
+    eta_t(j)/eta_max (NOBODY never quits).  This thinning leaves the law
+    of (absorption block, quitter, payoff) exactly as block-by-block
+    play gives it.
+
+    Runs advance in rounds, each live run to its next candidate.  The
+    adversary spec is the same in every block, so all lotteries with
+    one designation law are i.i.d.: a round makes one
+    :func:`simulate_strong` call per distinct law among its candidates,
+    whichever blocks they sit in.  Dirac laws need no lottery, since
+    their outcome is forced regardless of letters.  A quit-at-block-k
+    deviation plays k-1 blocks this way and absorbs every survivor at
+    block k.  Stage counts inside blocks do not affect payoffs, so only
+    block granularity is tracked here; :func:`play` also counts the
+    stages of one run.
     """
     if runs < 0:
         raise ValueError(f"runs must be nonnegative, got {runs}")
@@ -678,70 +721,55 @@ def simulate_block_profile(
     if deviator is not None:
         _validate_deviator(profile, deviator)
     players = game.players
-    n_players = len(players)
+    forced = deviator is not None and isinstance(deviator[1], QuitAtBlock)
+    horizon = deviator[1].block - 1 if forced else profile.T
+    law_of, laws, eta = _block_laws(profile, horizon)
+    eta_max = float(eta.max(initial=0.0))
     harness = substream(seed, *context, "game")
     spec, spec_device = _lottery_specs(profile, deviator)
 
     block = np.full(runs, -1, dtype=np.int64)
     quitter = np.full(runs, -1, dtype=np.int64)
-    payoff = np.zeros((runs, n_players))
-    outcomes_log = np.full((runs, profile.T), -1, dtype=np.int16) if collect_blocks else None
-    active = np.ones(runs, dtype=bool)
-    nobody_idx = n_players
+    payoff = np.zeros((runs, len(players)))
+    idx = np.arange(runs if eta_max > 0.0 else 0)
+    passed = np.zeros(idx.size, dtype=np.int64)     # blocks each live run has played
 
-    for t in range(profile.T):
-        if not np.any(active):
-            break
-        idx = np.nonzero(active)[0]
-        nu_t = profile.sunspot.designation.probs(t)
-        if nu_t.outcomes.labels != profile.lottery_outcomes.labels:
-            raise ValueError(f"designation at block {t} switched outcome sets")
-
-        if deviator is not None and isinstance(deviator[1], QuitAtBlock) \
-                and deviator[1].block == t + 1:
-            dev_idx = players.index(deviator[0])
-            _, payoff[idx] = _absorb(profile, harness, np.full(idx.size, dev_idx), deviator)
-            block[idx] = t + 1
-            quitter[idx] = dev_idx
-            active[idx] = False
-            break
-
-        if nu_t.is_dirac:
-            cell = int(np.argmax(nu_t.mass))
-            outcome = np.full(idx.size, cell, dtype=np.int64)
-        else:
-            batch = simulate_strong(
-                profile.coins, nu_t, profile.C, idx.size,
-                adversary=spec, adversary_device=spec_device,
-                seed=seed, context=(*context, "block", t),
-            )
-            outcome = batch.outcome_idx
-        if outcomes_log is not None:
-            outcomes_log[idx, t] = outcome.astype(np.int16)
-
-        designated = outcome < nobody_idx
-        if not np.any(designated):
-            continue
-        des_rows = idx[designated]
-        des_who = outcome[designated]
-        eta_by_player = np.array(
-            [_eta_value(profile.sunspot.eta, t, p) for p in players]
-        )
-        u = harness.random(des_rows.size)
-        quits = u < eta_by_player[des_who]
-        if not np.any(quits):
-            continue
-        rows = des_rows[quits]
-        who = des_who[quits]
+    r = 0
+    while idx.size:
+        t = passed + harness.geometric(eta_max, idx.size) - 1
+        live = t < horizon
+        idx, t = idx[live], t[live]
+        outcome = np.empty(idx.size, dtype=np.int64)
+        law_at = law_of[t]
+        for k in np.unique(law_at):
+            at = law_at == k
+            law = laws[k]
+            if law.is_dirac:
+                outcome[at] = int(np.argmax(law.mass))
+            else:
+                outcome[at] = simulate_strong(
+                    profile.coins, law, profile.C, int(np.count_nonzero(at)),
+                    adversary=spec, adversary_device=spec_device,
+                    seed=seed, context=(*context, "round", r, int(k)),
+                ).outcome_idx
+        quits = harness.random(idx.size) < eta[t, outcome] / eta_max
+        rows, who = idx[quits], outcome[quits]
         _, payoff[rows] = _absorb(profile, harness, who, deviator)
-        block[rows] = t + 1
+        block[rows] = t[quits] + 1
         quitter[rows] = who
-        active[rows] = False
+        idx, passed = idx[~quits], t[~quits] + 1
+        r += 1
 
-    if np.any(active):
-        payoff[active] = _continue_payoff(profile, deviator)
+    rest = np.nonzero(block < 0)[0]
+    if forced:
+        dev_idx = players.index(deviator[0])
+        _, payoff[rest] = _absorb(profile, harness, np.full(rest.size, dev_idx), deviator)
+        block[rest] = horizon + 1
+        quitter[rest] = dev_idx
+    elif rest.size:
+        payoff[rest] = _continue_payoff(profile, deviator)
 
-    return BlockSimResult(players, profile.T, block, quitter, payoff, outcomes_log)
+    return BlockSimResult(players, profile.T, block, quitter, payoff)
 
 
 def _absorb(

@@ -136,6 +136,10 @@ class TestConfigErrors:
         ({"runs": 2.5}, "runs must be an integer, got 2.5"),
         ({"seed": 1.9}, "seed must be an integer, got 1.9"),
         ({"adversary_device": 2.7}, "adversary_device must be an integer, got 2.7"),
+        ({"runs": "5"}, "runs must be an integer, got '5'"),
+        ({"runs": "2.5"}, "runs must be an integer, got '2.5'"),
+        ({"C": "50"}, "C must be a number, got '50'"),
+        ({"eps": "0.1"}, "eps must be a number, got '0.1'"),
     ])
     def test_bad_config_exits_2(self, tmp_path, mutate, needle):
         cfg = {k: v for k, v in {**STRONG_CFG, **mutate}.items() if v is not None}
@@ -149,6 +153,22 @@ class TestConfigErrors:
         r = run_cli("detect", "--config", path, "--out", str(tmp_path / "d.csv"))
         assert r.returncode == 2
         assert "window must be an integer, got True" in r.stderr
+
+    @pytest.mark.parametrize("key", ["faulty_below", "honest_above"])
+    def test_string_thresholds_are_refused(self, tmp_path, key):
+        path = write_cfg(tmp_path, {**WEAK_CFG, "runs": 5, key: "0.1"})
+        r = run_cli("detect", "--config", path, "--out", str(tmp_path / "d.csv"))
+        assert r.returncode == 2
+        assert f"{key} must be a number, got '0.1'" in r.stderr
+
+    def test_string_game_threshold_is_refused(self, tmp_path):
+        path = write_cfg(tmp_path, {
+            "game": example_quitting_game()[0].to_dict(), "sunspot": sunspot_cfg(),
+            "C": "400", "eps": 0.05, "runs": 10,
+        })
+        r = run_cli("game", "--config", path, "--out", str(tmp_path / "g.json"))
+        assert r.returncode == 2
+        assert "C must be a number, got '400'" in r.stderr
 
     def test_integral_float_settings_are_accepted(self, tmp_path):
         out = tmp_path / "o.csv"

@@ -1,9 +1,13 @@
 """Quitting games, block profiles, payoff and deviation estimation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
+
+import jcl.game
 
 from jcl import (
     ALPHA,
@@ -414,19 +418,15 @@ class TestBlockSimulation:
         assert np.all(sim.quitter[done] >= 0)
         assert np.all(sim.block[~done] == -1)
 
-    def test_blockwise_designation_frequencies(self, sim_profile):
-        sim = simulate_block_profile(sim_profile, 4000, seed=9, collect_blocks=True)
-        nu = np.array([0.3, 0.3, 0.3, 0.1])
-        T = sim_profile.T
-        for t in range(T):
-            col = sim.block_outcomes[:, t]
-            live = col >= 0
-            n = int(live.sum())
-            if n < 500:
-                break
-            freq = np.bincount(col[live], minlength=4) / n
-            bound = sim_profile.eps_block + hoeffding_margin(n, 4, 0.01 / T)
-            assert np.max(np.abs(freq - nu)) <= bound, f"block {t}"
+    def test_quitter_frequencies_match_designation(self, sim_profile):
+        # constant eta: the quitter of an absorbed run is the lottery's
+        # designee given that it named a player, so nu restricted to players
+        sim = simulate_block_profile(sim_profile, 4000, seed=9)
+        done = sim.block >= 0
+        n = int(done.sum())
+        freq = np.bincount(sim.quitter[done], minlength=3) / n
+        bound = sim_profile.eps_block + hoeffding_margin(n, 3, 0.01)
+        assert np.max(np.abs(freq - 1.0 / 3.0)) <= bound
 
     def test_quit_at_block_sweep_matches_direct_simulation(self, sim_profile):
         n = 4000
@@ -474,6 +474,18 @@ class TestBlockSimulation:
         with pytest.raises(ValueError, match="positive"):
             estimate_payoff(sim_profile, 0)
 
+    def test_one_lottery_call_per_round(self, sim_profile, monkeypatch):
+        # one stationary law: every round shares one call, and about 90%
+        # of the candidates quit, so a few rounds finish every run
+        calls = []
+        real = jcl.game.simulate_strong
+        monkeypatch.setattr(
+            jcl.game, "simulate_strong", lambda *a, **k: calls.append(a[3]) or real(*a, **k),
+        )
+        sim = simulate_block_profile(sim_profile, 4000, seed=8)
+        assert 1 <= len(calls) <= 10
+        assert sum(calls) < 1.2 * np.count_nonzero(sim.block >= 0)
+
     def test_zero_runs_allowed_in_batch(self, sim_profile):
         sim = simulate_block_profile(sim_profile, 0, seed=1)
         assert sim.runs == 0 and sim.absorbed_rate == 0.0
@@ -492,15 +504,13 @@ class TestCyclicVariant:
         assert prof.C == 4.0 / prof.eps_block**2
         assert prof.T == 149
 
-    def test_forced_block_outcomes(self, cyclic_profile):
+    def test_cyclic_quitter_follows_the_order(self, cyclic_profile):
         prof, _ = cyclic_profile
-        sim = simulate_block_profile(prof, 300, seed=3, collect_blocks=True)
-        labels = prof.lottery_outcomes.labels
-        for t in range(6):
-            col = sim.block_outcomes[:, t]
-            live = col >= 0
-            expect = labels.index(("P1", "P2", "P3")[t % 3])
-            assert np.all(col[live] == expect)
+        sim = simulate_block_profile(prof, 300, seed=3)
+        done = sim.block >= 0
+        assert done.sum() > 200
+        order = np.array([prof.game.players.index(p) for p in ("P1", "P2", "P3")])
+        assert np.array_equal(sim.quitter[done], order[(sim.block[done] - 1) % 3])
 
     def test_estimate_matches_target_and_oracle(self, cyclic_profile):
         prof, sunspot = cyclic_profile
@@ -515,3 +525,71 @@ class TestCyclicVariant:
         sim = simulate_block_profile(prof, 3000, seed=4)
         expect = 1.0 - 0.98**149
         assert sim.absorbed_rate == pytest.approx(expect, abs=0.02)
+
+
+def _absorption_law(hazards: np.ndarray) -> np.ndarray:
+    """Exact law of the absorption block under per-block hazards: cell
+    b-1 is absorption at block b, the last cell is none within them."""
+    survive = np.cumprod(np.concatenate([[1.0], 1.0 - hazards]))
+    return np.append(survive[:-1] * hazards, survive[-1])
+
+
+def _law_pvalue(cells: np.ndarray, law: np.ndarray, band: int = 10) -> float:
+    """Chi-square p-value of per-run cells against ``law``, with the
+    block cells pooled in bands and the last cell kept apart."""
+    starts = list(range(0, law.size - 1, band)) + [law.size - 1]
+    observed = np.add.reduceat(np.bincount(cells, minlength=law.size), starts)
+    expected = np.add.reduceat(law, starts) * cells.size
+    return float(chisquare(observed, expected).pvalue)
+
+
+@pytest.fixture(scope="module")
+def never_idle_profile(example):
+    # the lottery runs, but it never names NOBODY (whose cell is empty),
+    # so the absorption hazard is exactly eta whatever its accuracy
+    game, sunspot = example
+    nu = ProbabilityVector(OutcomeSet(game.players + (NOBODY,)), [0.5, 0.25, 0.25, 0.0])
+    never_idle = replace(sunspot, designation=StationaryDesignation(nu))
+    return build_block_profile(game, never_idle, 0.05, C=400.0, seed=0)
+
+
+class TestAbsorptionLaw:
+    def test_on_path_blocks_are_truncated_geometric(self, never_idle_profile):
+        prof = never_idle_profile
+        sim = simulate_block_profile(prof, 40_000, seed=31)
+        cells = np.where(sim.block > 0, sim.block - 1, prof.T)
+        law = _absorption_law(np.full(prof.T, 0.02))
+        assert _law_pvalue(cells, law) >= 1e-3
+
+    def test_quit_at_block_absorbs_the_rest_at_its_block(self, never_idle_profile):
+        prof = never_idle_profile
+        k = 60
+        sim = simulate_block_profile(
+            prof, 40_000, deviator=("P3", QuitAtBlock(k)), seed=32,
+        )
+        assert np.all((sim.block >= 1) & (sim.block <= k))
+        assert np.all(sim.quitter[sim.block == k] == 2)
+        law = _absorption_law(np.full(k - 1, 0.02))
+        assert _law_pvalue(sim.block - 1, law) >= 1e-3
+
+    def test_thinned_quits_follow_per_player_eta(self, cyclic_profile):
+        # Dirac blocks with eta below its maximum for two of the three
+        # players: candidates are thinned by eta_t(j) / eta_max
+        prof, _ = cyclic_profile
+        rates = {"P1": 0.03, "P2": 0.01, "P3": 0.02}
+        prof = replace(prof, sunspot=replace(prof.sunspot, eta=lambda t, p: rates[p]))
+        sim = simulate_block_profile(prof, 40_000, seed=33)
+        cells = np.where(sim.block > 0, sim.block - 1, prof.T)
+        hazards = np.array([rates[("P1", "P2", "P3")[t % 3]] for t in range(prof.T)])
+        assert _law_pvalue(cells, _absorption_law(hazards)) >= 1e-3
+
+    def test_late_bad_eta_fails_before_any_lottery(self, sim_profile, monkeypatch):
+        def no_lottery(*args, **kwargs):
+            raise AssertionError("a lottery ran before the eta check")
+
+        monkeypatch.setattr(jcl.game, "simulate_strong", no_lottery)
+        late = replace(sim_profile, sunspot=replace(
+            sim_profile.sunspot, eta=lambda t, p: 0.02 if t < 150 else 1.5,
+        ))
+        with pytest.raises(ValueError, match=r"got 1.5 at block 150"):
+            simulate_block_profile(late, 100, seed=1)

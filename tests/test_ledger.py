@@ -56,11 +56,11 @@ REPORTS = {
     ),
     "game-payoff": (
         ["game", "--mode", "payoff"], _game(2000),
-        "0e584225794c04a2a44dea57240a61a3a7aa1d4af9861587cc8f4d9176cc15bf",
+        "5f57b491c175e6fc493e7f4d7a187bdc2cb66ea03734375924a6f91aecc59f00",
     ),
     "game-deviations": (
         ["game", "--mode", "deviations"], _game(300),
-        "b1a97ebf6576af199346ee6baaaeac03fa70be7cb8df93f191bd05e1b13b402f",
+        "1caa2b3b6229a21db6c784013cb766bcc768060e69b628d707d9d73ed7da2b65",
     ),
 }
 

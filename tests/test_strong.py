@@ -13,7 +13,6 @@ from jcl import (
     Constant,
     Honest,
     IntervalPartition,
-    OutcomeSet,
     ProbabilityVector,
     Push,
     ScoreTable,
