@@ -43,7 +43,6 @@ from .game import (
     DeviationEntry,
     DeviationReport,
     PayoffEstimate,
-    PlayResult,
     QuitAtBlock,
     QuittingGame,
     StallLottery,
@@ -56,7 +55,6 @@ from .game import (
     oracle_payoff,
     parse_deviation,
     perturb_pure,
-    play,
     simulate_block_profile,
     sunspot_from_dict,
 )
@@ -79,10 +77,8 @@ from .strong import (
 )
 from .weak import (
     DetectionVerdict,
-    SuccessorMap,
     WeakBatch,
     WeakRunResult,
-    build_successor,
     default_max_stages,
     detect_fault,
     run_weak,

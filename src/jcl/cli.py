@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .adversaries import AdversarySpec, parse_adversary
-from .core import BinaryCoinPair, ProbabilityVector
+from .core import BinaryCoinPair, ProbabilityVector, is_json_number, json_number
 from .game import (
     BlockProfile,
     QuittingGame,
@@ -88,24 +88,10 @@ def _target(cfg: dict) -> ProbabilityVector:
     return ProbabilityVector.from_dict(raw)
 
 
-def _is_number(value) -> bool:
-    # JSON numbers only: a bool is an int to Python, and strings are not
-    # coerced
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _number(value, key: str) -> float:
-    """``value`` as a float; strings, bools and other non-numbers are
-    refused."""
-    if not _is_number(value):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def _integral(value, key: str) -> int:
     """``value`` as an int; non-numbers and non-integral numbers are
     refused rather than coerced or truncated."""
-    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
+    if not is_json_number(value) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -134,7 +120,7 @@ def _eps_setting(args, cfg: dict, default=None) -> float | None:
     eps = args.eps if args.eps is not None else cfg.get("eps")
     if eps is None:
         return default
-    eps = _number(eps, "eps")
+    eps = json_number(eps, "eps")
     if not 0.0 < eps < 1.0:
         raise ConfigError(f"eps must be in (0,1), got {eps}")
     return eps
@@ -230,7 +216,7 @@ def cmd_lottery_strong(args, cfg: dict) -> int:
         if not calibration.accepted:
             raise ConfigError(f"calibration failed to find C at eps={eps}")
         C = calibration.C
-    C = _number(C, "C")
+    C = json_number(C, "C")
     if C <= 0:
         raise ConfigError(f"C must be positive, got {C}")
 
@@ -287,8 +273,8 @@ def _weak_batch(args, cfg: dict, command: str, *, with_eps: bool, max_stages: in
         max_stages = default_max_stages(coins, target)
     max_stages = _int_setting(args.max_stages, cfg, "max_stages", max_stages, what=command)
     window = _int_setting(None, cfg, "window", 1000, what=command)
-    faulty_below = _number(cfg.get("faulty_below", 0.1), "faulty_below")
-    honest_above = _number(cfg.get("honest_above", 0.2), "honest_above")
+    faulty_below = json_number(cfg.get("faulty_below", 0.1), "faulty_below")
+    honest_above = json_number(cfg.get("honest_above", 0.2), "honest_above")
 
     payloads = [
         (coins, target, spec, device, seed, i, n, max_stages, window)
@@ -422,7 +408,7 @@ def _game_profile(args, cfg: dict) -> tuple[BlockProfile, float, int]:
     runs = _int_setting(args.runs, cfg, "runs", what="game")
     C = cfg.get("C")
     profile = build_block_profile(
-        game, sunspot, eps, C=None if C is None else _number(C, "C"), seed=seed,
+        game, sunspot, eps, C=None if C is None else json_number(C, "C"), seed=seed,
     )
     log.info("block profile: T=%d C=%r eps_block=%r", profile.T, profile.C, profile.eps_block)
     return profile, eps, runs

@@ -37,6 +37,20 @@ def letter_from_name(name: str) -> int:
         raise ValueError(f"unknown letter {name!r}, expected one of {LETTER_NAMES}") from None
 
 
+def is_json_number(value) -> bool:
+    # JSON numbers only: a bool is an int to Python, and strings are not
+    # coerced
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def json_number(value, key: str) -> float:
+    """Config value ``value`` as a float; strings, bools and other
+    non-numbers are refused with a message naming ``key``."""
+    if not is_json_number(value):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class OutcomeSet:
     """Finite ordered set of distinct outcome labels.
@@ -103,7 +117,8 @@ class ProbabilityVector:
     def from_dict(cls, weights: dict[str, float]) -> "ProbabilityVector":
         """Build from a label -> mass mapping; key order is canonical."""
         outcomes = OutcomeSet(tuple(weights.keys()))
-        return cls(outcomes, np.array(list(weights.values()), dtype=np.float64))
+        mass = [json_number(m, f"mass of {label!r}") for label, m in weights.items()]
+        return cls(outcomes, np.array(mass))
 
     @classmethod
     def uniform(cls, outcomes: OutcomeSet) -> "ProbabilityVector":
@@ -183,7 +198,7 @@ class BinaryCoinPair:
             raise ValueError(f"unknown coin keys {sorted(extra)}")
         if set(d) != {"p1_alpha", "p2_alpha"}:
             raise ValueError("coins need exactly the keys p1_alpha and p2_alpha")
-        return cls(float(d["p1_alpha"]), float(d["p2_alpha"]))
+        return cls(json_number(d["p1_alpha"], "p1_alpha"), json_number(d["p2_alpha"], "p2_alpha"))
 
 
 @dataclass(frozen=True)

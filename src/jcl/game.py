@@ -15,7 +15,6 @@ try a finite family of deviations per player and bound the best gain.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -29,12 +28,21 @@ from .core import (
     BinaryPartition,
     OutcomeSet,
     ProbabilityVector,
+    json_number,
     substream,
 )
 from .strong import CalibrationResult, calibrate_C, simulate_strong
 
 QUIT = "quit"       # reserved quit-action label, distinct from continue actions
 NOBODY = "0"        # designation label for blocks where nobody may quit
+EPS_BLOCK_FLOOR = 0.02  # smallest per-block lottery accuracy target calibrated for
+
+
+def _json_numbers(values, key: str) -> np.ndarray:
+    """A config list of JSON numbers as a float array (see json_number)."""
+    if not isinstance(values, list):
+        raise ValueError(f"{key} must be a list of numbers, got {values!r}")
+    return np.array([json_number(v, key) for v in values])
 
 
 class QuittingGame:
@@ -170,7 +178,7 @@ class QuittingGame:
             if unknown:
                 raise ValueError(f"unknown payoff entry keys: {sorted(unknown)}")
             profile = tuple(entry["profile"][p] for p in players)
-            payoffs[profile] = np.asarray(entry["u"], dtype=np.float64)
+            payoffs[profile] = _json_numbers(entry["u"], f"payoff u of {profile}")
         return cls(players, actions, payoffs)
 
     def to_dict(self) -> dict:
@@ -224,6 +232,19 @@ def _eta_value(eta: EtaRule, t: int, player: str) -> float:
     if not 0.0 <= v < 1.0:
         raise ValueError(f"quit probability must be in [0,1), got {v} at block {t}")
     return v
+
+
+def _block_row(
+    sunspot: SunspotProfile, labels: tuple[str, ...], t: int,
+) -> tuple[ProbabilityVector, list[float]]:
+    """Block t's designation law and one quit rate per label of
+    ``labels`` (NOBODY's is 0).  Every walk of the designation chain
+    reads its blocks here, so each block's outcome set and quit rates
+    are checked the same way everywhere."""
+    nu = sunspot.designation.probs(t)
+    if nu.outcomes.labels != labels:
+        raise ValueError(f"designation at block {t} switched outcome sets")
+    return nu, [0.0 if p == NOBODY else _eta_value(sunspot.eta, t, p) for p in labels]
 
 
 @dataclass(frozen=True)
@@ -308,28 +329,24 @@ def horizon_T(
             f"{samples} samples cannot certify epsilon={epsilon}: margin {margin:.4f} too wide"
         )
     log_eps = math.log(epsilon)
-    stop_at = np.full(samples, -1, dtype=np.int64)
-    laws: list[tuple[tuple[str, ...], list[float]]] = []    # per block, shared by all paths
-    for i in range(samples):
-        acc = 0.0
-        for t in range(t_max):
-            if t == len(laws):
-                nu = sunspot.designation.probs(t)
-                laws.append((nu.outcomes.labels, np.cumsum(nu.mass).tolist()))
-            labels, cum = laws[t]
-            designee = labels[bisect.bisect_right(cum, rng.random())]
-            if designee != NOBODY:
-                e = _eta_value(eta, t, designee)
-                if e > 0.0:
-                    acc += math.log1p(-e)
-            if acc <= log_eps:
-                stop_at[i] = t + 1
-                break
-        if stop_at[i] < 0:
-            raise RuntimeError(
-                f"survival product still above epsilon after {t_max} blocks; "
-                "the profile may effectively never terminate"
-            )
+    labels = sunspot.designation.probs(0).outcomes.labels
+    stop_at = np.zeros(samples, dtype=np.int64)
+    live = np.arange(samples)
+    acc = np.zeros(samples)         # log survival of each live path
+    for t in range(t_max):
+        nu, rates = _block_row(sunspot, labels, t)
+        designee = np.searchsorted(np.cumsum(nu.mass), rng.random(live.size), side="right")
+        acc += np.log1p(-np.asarray(rates))[np.minimum(designee, len(labels) - 1)]
+        done = acc <= log_eps
+        stop_at[live[done]] = t + 1
+        live, acc = live[~done], acc[~done]
+        if not live.size:
+            break
+    else:
+        raise RuntimeError(
+            f"survival product still above epsilon after {t_max} blocks; "
+            "the profile may effectively never terminate"
+        )
     allowed = math.ceil((epsilon - margin) * samples) - 1
     order = np.sort(stop_at)[::-1]
     return int(order[allowed])
@@ -382,14 +399,11 @@ def build_block_profile(
     *,
     C: float | None = None,
     seed: int = 0,
-    runs_per_probe: int = 20_000,
-    max_doublings: int = 12,
-    eps_block_floor: float = 0.02,
 ) -> BlockProfile:
     """Assemble the block profile and calibrate its lottery threshold.
 
     The per-block lottery accuracy target is epsilon / T, floored at
-    ``eps_block_floor``: desk-scale calibration cannot resolve targets
+    ``EPS_BLOCK_FLOOR``: desk-scale calibration cannot resolve targets
     far below the sampling noise of the probes, and the payoff and
     deviation gates downstream are what actually certify the profile.
     """
@@ -423,7 +437,7 @@ def build_block_profile(
         x_prime[p] = perturb_pure(sunspot.x[p], epsilon)
 
     T = horizon_T(sunspot, epsilon, seed=seed)
-    eps_block = max(epsilon / T, eps_block_floor)
+    eps_block = max(epsilon / T, EPS_BLOCK_FLOOR)
 
     partitions: dict[str, BinaryPartition] = {}
     p_alpha: list[float] = []
@@ -441,10 +455,7 @@ def build_block_profile(
             # a deterministic designation needs no lottery accuracy
             C = 4.0 / eps_block**2
         else:
-            calibration = calibrate_C(
-                coins, nu0, eps_block,
-                seed=seed, runs_per_probe=runs_per_probe, max_doublings=max_doublings,
-            )
+            calibration = calibrate_C(coins, nu0, eps_block, seed=seed)
             if not calibration.accepted:
                 raise RuntimeError(
                     "lottery calibration exhausted its doubling schedule at "
@@ -527,15 +538,6 @@ def parse_deviation(name: str) -> Deviation:
     )
 
 
-@dataclass(frozen=True)
-class PlayResult:
-    absorbed: bool
-    stage: int | None           # 1-based stage of the first quit
-    block: int | None           # 1-based block
-    actions: dict[str, str] | None
-    payoff: np.ndarray
-
-
 def _lottery_specs(
     profile: BlockProfile,
     deviator: tuple[str, Deviation] | None,
@@ -553,62 +555,6 @@ def _lottery_specs(
         letter = profile.partitions[player].letter_of(dev.action)
         return Constant(letter), device
     return None, device
-
-
-def play(
-    profile: BlockProfile,
-    deviator: tuple[str, Deviation] | None = None,
-    *,
-    seed: int = 0,
-    context: tuple = (),
-) -> PlayResult:
-    """Play one full game run over the profile's T blocks.
-
-    Each block's lottery is one exact :func:`simulate_strong` run, and
-    ``stage`` counts its stopping stages plus one stage per block for
-    the designee's quit draw.  Absorption draws the other players'
-    actions exactly as the batch does.  A non-absorbed run's payoff is
-    the exact expected stage payoff of the continuing play, which is
-    what its running average converges to.
-    """
-    game = profile.game
-    if deviator is not None:
-        _validate_deviator(profile, deviator)
-    harness = substream(seed, *context, "game")
-    spec, spec_device = _lottery_specs(profile, deviator)
-
-    def absorbed(quitter: str, stage: int, block: int) -> PlayResult:
-        quitter_idx = np.array([game.players.index(quitter)])
-        acts, payoff = _absorb(profile, harness, quitter_idx, deviator)
-        actions = {p: game.action_space(p)[i] for p, i in zip(game.players, acts[0])}
-        return PlayResult(True, stage, block, actions, payoff[0])
-
-    stage = 0
-    for t in range(profile.T):
-        nu_t = profile.sunspot.designation.probs(t)
-        if nu_t.outcomes.labels != profile.lottery_outcomes.labels:
-            raise ValueError(f"designation at block {t} switched outcome sets")
-
-        if deviator is not None and isinstance(deviator[1], QuitAtBlock) \
-                and deviator[1].block == t + 1:
-            return absorbed(deviator[0], stage + 1, t + 1)
-
-        batch = simulate_strong(
-            profile.coins, nu_t, profile.C, 1,
-            adversary=spec, adversary_device=spec_device,
-            seed=seed, context=(*context, "block", t),
-        )
-        stage += int(batch.stages[0])
-        designee = nu_t.outcomes.labels[batch.outcome_idx[0]]
-        quit_now = False
-        if designee != NOBODY:
-            e = _eta_value(profile.sunspot.eta, t, designee)
-            quit_now = harness.random() < e
-        stage += 1
-        if quit_now:
-            return absorbed(designee, stage, t + 1)
-    payoff = _continue_payoff(profile, deviator)
-    return PlayResult(False, None, None, None, payoff)
 
 
 def _validate_deviator(profile: BlockProfile, deviator: tuple[str, Deviation]) -> None:
@@ -665,21 +611,17 @@ def _block_laws(
     column, NOBODY's, is 0.  Every block is checked before anything is
     drawn.
     """
-    players = profile.game.players
     law_of = np.empty(horizon, dtype=np.int64)
     laws: list[ProbabilityVector] = []
     seen: dict[bytes, int] = {}
-    eta = np.zeros((horizon, len(players) + 1))
+    eta = np.empty((horizon, profile.lottery_outcomes.size))
     for t in range(horizon):
-        nu_t = profile.sunspot.designation.probs(t)
-        if nu_t.outcomes.labels != profile.lottery_outcomes.labels:
-            raise ValueError(f"designation at block {t} switched outcome sets")
+        nu_t, eta[t] = _block_row(profile.sunspot, profile.lottery_outcomes.labels, t)
         key = nu_t.mass.tobytes()
         if key not in seen:
             seen[key] = len(laws)
             laws.append(nu_t)
         law_of[t] = seen[key]
-        eta[t, :-1] = [_eta_value(profile.sunspot.eta, t, p) for p in players]
     return law_of, laws, eta
 
 
@@ -712,8 +654,7 @@ def simulate_block_profile(
     their outcome is forced regardless of letters.  A quit-at-block-k
     deviation plays k-1 blocks this way and absorbs every survivor at
     block k.  Stage counts inside blocks do not affect payoffs, so only
-    block granularity is tracked here; :func:`play` also counts the
-    stages of one run.
+    block granularity is tracked here.
     """
     if runs < 0:
         raise ValueError(f"runs must be nonnegative, got {runs}")
@@ -904,6 +845,8 @@ def deviation_gain(
         family += [ConstantContinue(a) for a in game.continue_actions[player].labels]
         if player in profile.device_players:
             family.append(StallLottery())
+    for dev in family:
+        _validate_deviator(profile, (player, dev))
 
     on_sim = simulate_block_profile(
         profile, n_runs, seed=seed, context=(*context, "on-path"),
@@ -948,14 +891,15 @@ def oracle_payoff(profile: BlockProfile) -> np.ndarray:
     players = game.players
     gamma = np.zeros(len(players))
     survive = 1.0
-    quit_vectors = {p: game.quit_value(p, profile.x_prime) for p in players}
+    quit_vectors = [game.quit_value(p, profile.x_prime) for p in players]
+    law_of, laws, eta = _block_laws(profile, profile.T)
     for t in range(profile.T):
-        nu_t = profile.sunspot.designation.probs(t)
+        mass = laws[law_of[t]].mass
         p_absorb = 0.0
-        for p in players:
-            q = nu_t.mass_of(p) * _eta_value(profile.sunspot.eta, t, p)
+        for i in range(len(players)):
+            q = float(mass[i]) * float(eta[t, i])
             if q > 0.0:
-                gamma += survive * q * quit_vectors[p]
+                gamma += survive * q * quit_vectors[i]
                 p_absorb += q
         survive *= 1.0 - p_absorb
     gamma += survive * _continue_payoff(profile, None)
@@ -973,7 +917,7 @@ def sunspot_from_dict(game: QuittingGame, d: dict) -> SunspotProfile:
             raise ValueError(f"sunspot mixing missing player {p}")
         weights = d["x"][p]
         acts = game.continue_actions[p]
-        mass = [weights.get(a, 0.0) for a in acts.labels]
+        mass = [json_number(weights.get(a, 0.0), f"mixing weight {p}/{a}") for a in acts.labels]
         extra = set(weights) - set(acts.labels)
         if extra:
             raise ValueError(f"mixing of {p} names unknown actions {sorted(extra)}")
@@ -986,17 +930,18 @@ def sunspot_from_dict(game: QuittingGame, d: dict) -> SunspotProfile:
         extra = set(probs) - set(outcomes.labels)
         if extra:
             raise ValueError(f"designation names unknown labels {sorted(extra)}")
-        pv = ProbabilityVector(outcomes, [probs.get(l, 0.0) for l in outcomes.labels])
+        pv = ProbabilityVector(outcomes, [
+            json_number(probs.get(l, 0.0), f"designation prob of {l!r}") for l in outcomes.labels
+        ])
         rule: DesignationRule = StationaryDesignation(pv)
     elif kind == "cyclic":
         rule = CyclicDesignation(outcomes, tuple(des.get("order", ())))
     else:
         raise ValueError(f"unknown designation type {kind!r}; expected 'stationary' or 'cyclic'")
-    eta = d["eta"]
-    if not isinstance(eta, (int, float)):
-        raise ValueError("config eta must be a number")
+    eta = json_number(d["eta"], "eta")
     target = d.get("target_payoff")
-    target_arr = None if target is None else np.asarray(target, dtype=np.float64)
-    if target_arr is not None and target_arr.shape != (len(game.players),):
-        raise ValueError("target_payoff must list one value per player")
-    return SunspotProfile(x=x, designation=rule, eta=float(eta), target_payoff=target_arr)
+    if target is not None:
+        target = _json_numbers(target, "target_payoff")
+        if target.shape != (len(game.players),):
+            raise ValueError("target_payoff must list one value per player")
+    return SunspotProfile(x=x, designation=rule, eta=eta, target_payoff=target)

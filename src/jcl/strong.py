@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversaries import AdversarySpec, Constant, Honest, Stall, checked_spec
+from .adversaries import AdversarySpec, Constant, Honest, Stall, checked_spec, default_suite
 from .core import (
     ALPHA,
     BETA,
@@ -65,6 +65,10 @@ _TAIL_ROWS = 512
 # Aim points are clamped here; reachable normalized sums stay near
 # [-1.2, 1.2], so +-40 is an effective infinity for the push rule.
 _AIM_CLAMP = 40.0
+
+# calibrate_C accepts a level when every probe is within epsilon/2 plus
+# the Hoeffding margin at this failure probability.
+CALIBRATION_DELTA = 0.01
 
 # Pair order everywhere: index = 2*a1 + a2 over (aa, ab, ba, bb).
 _PAIR_IDS = np.arange(4).reshape(4, 1, 1)
@@ -613,11 +617,9 @@ def calibrate_C(
     target: ProbabilityVector,
     epsilon: float,
     *,
-    suite: list[AdversarySpec] | None = None,
     seed: int = 0,
     runs_per_probe: int = 20_000,
     max_doublings: int = 12,
-    delta: float = 0.01,
 ) -> CalibrationResult:
     """Find a clock budget that holds every suite attack within epsilon.
 
@@ -630,12 +632,11 @@ def calibrate_C(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if runs_per_probe < 1:
         raise ValueError(f"runs_per_probe must be positive, got {runs_per_probe}")
-    if suite is None:
-        from .adversaries import default_suite
-
-        suite = [Honest()] + default_suite(target.outcomes.labels)
+    suite = [Honest()] + default_suite(target.outcomes.labels)
     C0 = 4.0 / epsilon**2
-    threshold = epsilon / 2.0 + hoeffding_margin(runs_per_probe, target.outcomes.size, delta)
+    threshold = epsilon / 2.0 + hoeffding_margin(
+        runs_per_probe, target.outcomes.size, CALIBRATION_DELTA
+    )
     probes: list[CalibrationProbe] = []
     for k in range(max_doublings + 1):
         C = C0 * 2.0**k

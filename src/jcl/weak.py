@@ -166,57 +166,6 @@ def _shrink_letter(binding, device: int):
     raise ValueError(f"device must be 1 or 2, got {device}")
 
 
-def _as_table(coins: BinaryCoinPair | ScoreTable) -> ScoreTable:
-    if isinstance(coins, ScoreTable):
-        return coins
-    return ScoreTable.from_coins(coins)
-
-
-@dataclass(frozen=True)
-class SuccessorMap:
-    """One stage's public update rule, derived from the belief alone."""
-
-    lam: np.ndarray
-    s: float
-    j_plus: int
-    j_minus: int
-    binding_pair: int       # index into pair order (aa, ab, ba, bb)
-    d: np.ndarray           # shape (4, J)
-
-    def shrink_letter(self, device: int) -> int:
-        """The device's half of the binding pair."""
-        return _shrink_letter(self.binding_pair, device)
-
-    def successor(self, a1: int, a2: int) -> np.ndarray:
-        return self.d[2 * a1 + a2]
-
-
-def build_successor(
-    lam: np.ndarray | ProbabilityVector,
-    coins: BinaryCoinPair | ScoreTable,
-) -> SuccessorMap | None:
-    """Successor map for one belief vector, or None once it is decided.
-
-    Decided means exactly one strictly positive coordinate; zeros are
-    exact here, so no tolerance is involved.
-    """
-    table = _as_table(coins)
-    if isinstance(lam, ProbabilityVector):
-        lam = lam.mass
-    lam = np.asarray(lam, dtype=np.float64)
-    if int(np.count_nonzero(lam > 0.0)) <= 1:
-        return None
-    succ = _successor_arrays(lam[None, :], table.flat)
-    return SuccessorMap(
-        lam=lam.copy(),
-        s=float(succ.s[0]),
-        j_plus=int(succ.j_plus[0]),
-        j_minus=int(succ.j_minus[0]),
-        binding_pair=int(succ.binding[0]),
-        d=np.concatenate([succ.rows(np.array([k])) for k in range(4)]),
-    )
-
-
 @dataclass(frozen=True)
 class _WeakPolicy:
     """The one definition of an adversary spec's letter rule, bound to a

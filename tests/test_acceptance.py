@@ -43,12 +43,18 @@ from jcl.game import (
     oracle_payoff,
 )
 from jcl.sample_games import example_quitting_game, perturbed_variant
-from jcl.strong import calibrate_C, simulate_strong
-from jcl.weak import build_successor, default_max_stages, simulate_weak
+from jcl.strong import ScoreTable, calibrate_C, simulate_strong
+from jcl.weak import _successor_arrays, default_max_stages, simulate_weak
 
 COINS = BinaryCoinPair(0.3, 0.7)
 NU3 = ProbabilityVector.from_dict({"a": 0.2, "b": 0.3, "c": 0.5})
 LAM2 = ProbabilityVector.from_dict({"x": 0.2, "y": 0.8})
+
+
+def four_successors(lam: ProbabilityVector, coins: BinaryCoinPair) -> np.ndarray:
+    """The successors of belief ``lam`` in pair order (aa, ab, ba, bb)."""
+    rows = np.repeat(lam.mass[None], 4, axis=0)
+    return _successor_arrays(rows, ScoreTable.from_coins(coins).flat).rows(np.arange(4))
 
 
 def report(capsys, num, ok, detail, t0):
@@ -193,10 +199,10 @@ def test_c05_martingale_and_support_shrink(capsys):
             rng.dirichlet(np.ones(k)),
         )
         coins = BinaryCoinPair(*(float(v) for v in rng.uniform(0.05, 0.95, size=2)))
-        m = build_successor(lam, coins)
+        rows = four_successors(lam, coins)
         p1 = np.array([coins.prob(1, ALPHA), coins.prob(1, BETA)])
         p2 = np.array([coins.prob(2, ALPHA), coins.prob(2, BETA)])
-        d = m.d.reshape(2, 2, k)
+        d = rows.reshape(2, 2, k)
         # fix either device's letter, average the other honestly
         for a1 in (ALPHA, BETA):
             worst = max(worst, float(np.max(np.abs(p2 @ d[a1] - lam.mass))))
@@ -204,7 +210,7 @@ def test_c05_martingale_and_support_shrink(capsys):
             worst = max(worst, float(np.max(np.abs(p1 @ d[:, a2, :] - lam.mass))))
         if not lam.is_dirac:
             before = int(np.sum(lam.mass > 0.0))
-            smallest = min(int(np.sum(row > 0.0)) for row in m.d)
+            smallest = min(int(np.sum(row > 0.0)) for row in rows)
             if smallest >= before:
                 shrink_violations += 1
     ok = worst <= 1e-9 and shrink_violations == 0
@@ -270,11 +276,11 @@ def test_c08_fair_coin_xor(capsys):
     t0 = time.perf_counter()
     fair = BinaryCoinPair(0.5, 0.5)
     nu = ProbabilityVector.from_dict({"h": 0.5, "t": 0.5})
-    m = build_successor(nu, fair)
+    rows = four_successors(nu, fair)
     structural = True
     for a1 in (ALPHA, BETA):
         for a2 in (ALPHA, BETA):
-            row = m.d[2 * a1 + a2]
+            row = rows[2 * a1 + a2]
             decided = int(np.sum(row > 0.0)) == 1
             outcome = nu.outcomes.labels[int(np.argmax(row))]
             structural = structural and decided

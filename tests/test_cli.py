@@ -140,6 +140,9 @@ class TestConfigErrors:
         ({"runs": "2.5"}, "runs must be an integer, got '2.5'"),
         ({"C": "50"}, "C must be a number, got '50'"),
         ({"eps": "0.1"}, "eps must be a number, got '0.1'"),
+        ({"coins": {"p1_alpha": "0.3", "p2_alpha": 0.7}}, "p1_alpha must be a number, got '0.3'"),
+        ({"coins": {"p1_alpha": 0.3, "p2_alpha": True}}, "p2_alpha must be a number, got True"),
+        ({"target": {"a": "0.2", "b": 0.3, "c": 0.5}}, "mass of 'a' must be a number, got '0.2'"),
     ])
     def test_bad_config_exits_2(self, tmp_path, mutate, needle):
         cfg = {k: v for k, v in {**STRONG_CFG, **mutate}.items() if v is not None}
@@ -169,6 +172,24 @@ class TestConfigErrors:
         r = run_cli("game", "--config", path, "--out", str(tmp_path / "g.json"))
         assert r.returncode == 2
         assert "C must be a number, got '400'" in r.stderr
+
+    @pytest.mark.parametrize("path,needle", [
+        (("sunspot", "x", "P1", "a"), "mixing weight P1/a must be a number, got '0.6'"),
+        (("sunspot", "designation", "probs", "P1"), "designation prob of 'P1' must be a number"),
+        (("sunspot", "target_payoff", 0), "target_payoff must be a number, got '0.55'"),
+        (("game", "payoffs", 0, "u", 0), "must be a number, got '0.1'"),
+    ])
+    def test_string_game_numbers_are_refused(self, tmp_path, path, needle):
+        cfg = {"game": example_quitting_game()[0].to_dict(), "sunspot": sunspot_cfg(),
+               "C": 400.0, "eps": 0.05, "runs": 10}
+        *parents, key = path
+        node = cfg
+        for k in parents:
+            node = node[k]
+        node[key] = str(node[key])
+        r = run_cli("game", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "g.json"))
+        assert r.returncode == 2
+        assert needle in r.stderr
 
     def test_integral_float_settings_are_accepted(self, tmp_path):
         out = tmp_path / "o.csv"
@@ -366,6 +387,9 @@ class TestGame:
         cfg = write_cfg(tmp_path, {**base, "players": ["P9"]}, "b.json")
         r = run_cli("game", "--mode", "deviations", "--config", cfg, "--out", "-")
         assert r.returncode == 2 and "unknown player" in r.stderr
+        cfg = write_cfg(tmp_path, {**base, "deviations": ["quit-at-block:9999"]}, "c.json")
+        r = run_cli("game", "--mode", "deviations", "--config", cfg, "--out", "-")
+        assert r.returncode == 2 and "exceeds the horizon T=165" in r.stderr
 
     def test_zero_runs_rejected(self, tmp_path, game_dict):
         cfg = write_cfg(tmp_path, {

@@ -31,7 +31,6 @@ from jcl import (
     oracle_payoff,
     parse_deviation,
     perturb_pure,
-    play,
     simulate_block_profile,
     sunspot_from_dict,
 )
@@ -56,11 +55,8 @@ def sim_profile(example):
     return build_block_profile(game, sunspot, 0.05, C=400.0, seed=0)
 
 
-@pytest.fixture(scope="module")
-def play_profile(example):
-    # tiny C keeps the stage-by-stage runner cheap
-    game, sunspot = example
-    return build_block_profile(game, sunspot, 0.05, C=2.0, seed=0)
+def _no_lottery(*args, **kwargs):
+    raise AssertionError("a simulation ran before the checks")
 
 
 def _tiny_game():
@@ -357,37 +353,18 @@ class TestBuildProfile:
 
 
 class TestPlay:
-    def test_block_play_is_deterministic(self, play_profile):
-        r1 = play(play_profile, seed=11, context=("t",))
-        r2 = play(play_profile, seed=11, context=("t",))
-        assert r1.absorbed == r2.absorbed
-        assert r1.stage == r2.stage and r1.block == r2.block
-        assert np.array_equal(r1.payoff, r2.payoff)
+    """Single plays: ``simulate_block_profile(profile, 1)``."""
 
-    def test_quit_at_block_one_absorbs_before_any_lottery(self, play_profile):
-        r = play(play_profile, deviator=("P2", QuitAtBlock(1)), seed=3)
-        assert r.absorbed and r.block == 1 and r.stage == 1
-        assert r.actions["P2"] == QUIT
-        assert np.array_equal(r.payoff, play_profile.game.payoff(r.actions))
-
-    def test_deviator_validation(self, play_profile):
-        with pytest.raises(ValueError, match="unknown deviating player"):
-            play(play_profile, deviator=("P9", QuitAtBlock(1)))
-        with pytest.raises(ValueError, match="exceeds the horizon"):
-            play(play_profile, deviator=("P1", QuitAtBlock(9999)))
-        with pytest.raises(ValueError, match="not a continue action"):
-            play(play_profile, deviator=("P1", ConstantContinue("zzz")))
-        with pytest.raises(ValueError, match="carries no lottery letters"):
-            play(play_profile, deviator=("P3", StallLottery()))
-
-    def test_some_runs_absorb_and_report_blocks(self, play_profile):
+    def test_some_runs_absorb_and_report_blocks(self, sim_profile):
         absorbed = 0
         for seed in range(12):
-            r = play(play_profile, seed=seed)
-            if r.absorbed:
+            r = simulate_block_profile(sim_profile, 1, seed=seed)
+            if r.block[0] >= 0:
                 absorbed += 1
-                assert 1 <= r.block <= play_profile.T
-                assert list(r.actions.values()).count(QUIT) == 1
+                assert 1 <= r.block[0] <= sim_profile.T
+                assert 0 <= r.quitter[0] < len(sim_profile.game.players)
+            else:
+                assert r.quitter[0] == -1
         assert absorbed >= 8  # survival probability is about 5 percent
 
 
@@ -415,6 +392,7 @@ class TestBlockSimulation:
         expect = 1.0 - (1.0 - 0.018) ** 165
         assert sim.absorbed_rate == pytest.approx(expect, abs=0.02)
         done = sim.block >= 0
+        assert np.all((sim.block[done] >= 1) & (sim.block[done] <= sim_profile.T))
         assert np.all(sim.quitter[done] >= 0)
         assert np.all(sim.block[~done] == -1)
 
@@ -485,6 +463,43 @@ class TestBlockSimulation:
         sim = simulate_block_profile(sim_profile, 4000, seed=8)
         assert 1 <= len(calls) <= 10
         assert sum(calls) < 1.2 * np.count_nonzero(sim.block >= 0)
+
+    def test_same_seed_gives_equal_arrays(self, sim_profile):
+        a = simulate_block_profile(sim_profile, 300, seed=11, context=("t",))
+        b = simulate_block_profile(sim_profile, 300, seed=11, context=("t",))
+        for name in ("block", "quitter", "payoff"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_quit_at_block_one_absorbs_before_any_lottery(self, sim_profile, monkeypatch):
+        monkeypatch.setattr(jcl.game, "simulate_strong", _no_lottery)
+        sim = simulate_block_profile(sim_profile, 200, deviator=("P2", QuitAtBlock(1)), seed=3)
+        assert np.all(sim.block == 1) and np.all(sim.quitter == 1)
+        # P2 quits alone against x', whose pure P3 mixing always plays e
+        assert {tuple(u) for u in sim.payoff} <= {
+            tuple(sim_profile.game.payoff((a, QUIT, "e"))) for a in ("a", "b")
+        }
+
+    def test_deviator_validation(self, sim_profile):
+        for deviator, message in [
+            (("P9", QuitAtBlock(1)), "unknown deviating player"),
+            (("P1", QuitAtBlock(9999)), "exceeds the horizon"),
+            (("P1", ConstantContinue("zzz")), "not a continue action"),
+            (("P3", StallLottery()), "carries no lottery letters"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                simulate_block_profile(sim_profile, 10, deviator=deviator)
+
+    def test_deviation_family_is_validated_before_any_simulation(self, sim_profile, monkeypatch):
+        # a quit-at-block entry is scored from the on-path run, so it
+        # must be checked before that run, like every other entry
+        monkeypatch.setattr(jcl.game, "simulate_block_profile", _no_lottery)
+        for family, message in [
+            ([QuitAtBlock(1), QuitAtBlock(9999)], "exceeds the horizon"),
+            ([ConstantContinue("zzz")], "not a continue action"),
+            ([StallLottery()], "carries no lottery letters"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                deviation_gain(sim_profile, "P3", 10, family=family)
 
     def test_zero_runs_allowed_in_batch(self, sim_profile):
         sim = simulate_block_profile(sim_profile, 0, seed=1)
@@ -584,12 +599,23 @@ class TestAbsorptionLaw:
         assert _law_pvalue(cells, _absorption_law(hazards)) >= 1e-3
 
     def test_late_bad_eta_fails_before_any_lottery(self, sim_profile, monkeypatch):
-        def no_lottery(*args, **kwargs):
-            raise AssertionError("a lottery ran before the eta check")
-
-        monkeypatch.setattr(jcl.game, "simulate_strong", no_lottery)
+        monkeypatch.setattr(jcl.game, "simulate_strong", _no_lottery)
         late = replace(sim_profile, sunspot=replace(
             sim_profile.sunspot, eta=lambda t, p: 0.02 if t < 150 else 1.5,
         ))
         with pytest.raises(ValueError, match=r"got 1.5 at block 150"):
             simulate_block_profile(late, 100, seed=1)
+
+    def test_late_outcome_set_switch_fails_before_any_lottery(self, sim_profile, monkeypatch):
+        monkeypatch.setattr(jcl.game, "simulate_strong", _no_lottery)
+        nu = sim_profile.sunspot.designation.probs(0)
+        swapped = ProbabilityVector(OutcomeSet(nu.outcomes.labels[::-1]), nu.mass[::-1])
+
+        class LateSwitch:
+            def probs(self, t):
+                return nu if t < 150 else swapped
+
+        late = replace(sim_profile, sunspot=replace(sim_profile.sunspot, designation=LateSwitch()))
+        for run in (lambda: simulate_block_profile(late, 100, seed=1), lambda: oracle_payoff(late)):
+            with pytest.raises(ValueError, match="designation at block 150 switched outcome sets"):
+                run()

@@ -18,7 +18,6 @@ from jcl import (
     Push,
     Stall,
     Transcript,
-    build_successor,
     default_max_stages,
     default_suite,
     detect_fault,
@@ -28,7 +27,7 @@ from jcl import (
     simulate_weak,
 )
 from jcl.strong import ScoreTable
-from jcl.weak import _jump_plan, _successor_arrays, _WeakPolicy
+from jcl.weak import _jump_plan, _shrink_letter, _successor_arrays, _WeakPolicy
 
 COINS = BinaryCoinPair(0.3, 0.7)
 SKEW_COINS = BinaryCoinPair(0.95, 0.5)
@@ -36,64 +35,81 @@ LAM2 = ProbabilityVector.from_dict({"x": 0.2, "y": 0.8})
 NU3 = ProbabilityVector.from_dict({"a": 0.2, "b": 0.3, "c": 0.5})
 
 
+def successor(lam, coins):
+    """One belief's successor rule and its four successors, in pair
+    order (aa, ab, ba, bb)."""
+    succ = _successor_arrays(np.repeat(lam[None], 4, axis=0), ScoreTable.from_coins(coins).flat)
+    return succ, succ.rows(np.arange(4))
+
+
 class TestSuccessor:
+    def test_decided_needs_exactly_one_positive(self):
+        # decided means exactly one strictly positive coordinate, so a
+        # Dirac target stops at stage 0 and a 1e-300 coordinate still steps
+        for lam in ([0.0, 1.0], ProbabilityVector.dirac(LAM2.outcomes, "x").mass):
+            target = ProbabilityVector(LAM2.outcomes, lam)
+            r = run_weak(COINS, target, max_stages=20, record=False)
+            batch = simulate_weak(COINS, target, 3, max_stages=20)
+            assert r.stages == 0 and r.outcome_index == int(np.argmax(lam))
+            assert np.all(batch.stages == 0)
+            assert np.all(batch.outcome_idx == int(np.argmax(lam)))
+        tiny = ProbabilityVector(LAM2.outcomes, [1e-300, 1.0 - 1e-300])
+        assert run_weak(COINS, tiny, max_stages=20, record=False).stages >= 1
+        assert np.all(simulate_weak(COINS, tiny, 3, max_stages=20).stages >= 1)
+
     def test_frozen_two_label_map(self):
-        m = build_successor(LAM2, COINS)
-        assert m.s == pytest.approx(20.0 / 49.0, abs=1e-12)
-        assert m.binding_pair == 1  # device 1 alpha, device 2 beta
-        assert m.j_plus == 1 and m.j_minus == 0
-        assert m.shrink_letter(1) == ALPHA
-        assert m.shrink_letter(2) == BETA
-        assert np.allclose(m.d[0], [2 / 7, 5 / 7], atol=1e-12)
-        assert np.allclose(m.d[1], [0.0, 1.0], atol=1e-12)
-        assert np.allclose(m.d[2], [8 / 49, 41 / 49], atol=1e-12)
-        assert np.allclose(m.d[3], [2 / 7, 5 / 7], atol=1e-12)
+        m, d = successor(LAM2.mass, COINS)
+        assert m.s[0] == pytest.approx(20.0 / 49.0, abs=1e-12)
+        assert m.binding[0] == 1  # device 1 alpha, device 2 beta
+        assert m.j_plus[0] == 1 and m.j_minus[0] == 0
+        assert _shrink_letter(m.binding[0], 1) == ALPHA
+        assert _shrink_letter(m.binding[0], 2) == BETA
+        assert np.allclose(d[0], [2 / 7, 5 / 7], atol=1e-12)
+        assert np.allclose(d[1], [0.0, 1.0], atol=1e-12)
+        assert np.allclose(d[2], [8 / 49, 41 / 49], atol=1e-12)
+        assert np.allclose(d[3], [2 / 7, 5 / 7], atol=1e-12)
 
     def test_binding_coordinate_is_exact_zero(self):
-        m = build_successor(LAM2, COINS)
-        assert m.d[1, 0] == 0.0
+        _, d = successor(LAM2.mass, COINS)
+        assert d[1, 0] == 0.0
         rng = np.random.default_rng(3)
         for _ in range(50):
             lam = rng.dirichlet(np.ones(4))
-            m = build_successor(lam, COINS)
+            m, d = successor(lam, COINS)
             # the pair attaining s* zeroes whichever coordinate bound it
             w = [-0.21, 0.49, 0.09, -0.21]
-            coord = m.j_minus if w[m.binding_pair] > 0 else m.j_plus
-            assert m.d[m.binding_pair, coord] == 0.0
-
-    def test_decided_needs_exactly_one_positive(self):
-        assert build_successor(np.array([0.0, 1.0]), COINS) is None
-        assert build_successor(ProbabilityVector.dirac(LAM2.outcomes, "x"), COINS) is None
-        assert build_successor(np.array([1e-300, 1.0 - 1e-300]), COINS) is not None
+            b = m.binding[0]
+            coord = m.j_minus[0] if w[b] > 0 else m.j_plus[0]
+            assert d[b, coord] == 0.0
 
     def test_tie_breaks_take_first_index(self):
-        m = build_successor(np.array([1 / 3, 1 / 3, 1 / 3]), COINS)
-        assert m.j_plus == 0
-        assert m.j_minus == 1
+        m, _ = successor(np.array([1 / 3, 1 / 3, 1 / 3]), COINS)
+        assert m.j_plus[0] == 0
+        assert m.j_minus[0] == 1
 
     def test_zero_coordinates_never_revive(self):
         lam = np.array([0.0, 0.3, 0.7])
-        m = build_successor(lam, COINS)
-        assert all(m.d[k][0] == 0.0 for k in range(4))
+        _, d = successor(lam, COINS)
+        assert all(d[k][0] == 0.0 for k in range(4))
 
     def test_unnormalized_belief_rejected(self):
         with pytest.raises(AssertionError, match="mass drifted"):
-            build_successor(np.array([0.5, 0.2]), COINS)
+            successor(np.array([0.5, 0.2]), COINS)
 
     def test_float_floor_raises_instead_of_deciding(self):
         # at these coins pair ba keeps 0.816 of lam_minus: from 2.5e-308
         # that is below the smallest normal float, with no binding hit
         with pytest.raises(FloatingPointError, match="float floor"):
-            build_successor(np.array([2.5e-308, 1.0 - 2.5e-308]), COINS)
+            successor(np.array([2.5e-308, 1.0 - 2.5e-308]), COINS)
         with pytest.raises(FloatingPointError, match="float floor"):
-            build_successor(np.array([1e-310, 1.0]), COINS)
-        m = build_successor(np.array([1e-300, 1.0 - 1e-300]), COINS)
-        assert m.d[1, 0] == 0.0  # the binding hit still zeroes
+            successor(np.array([1e-310, 1.0]), COINS)
+        _, d = successor(np.array([1e-300, 1.0 - 1e-300]), COINS)
+        assert d[1, 0] == 0.0  # the binding hit still zeroes
 
     def test_shrink_letter_validates_device(self):
-        m = build_successor(LAM2, COINS)
+        m, _ = successor(LAM2.mass, COINS)
         with pytest.raises(ValueError, match="device"):
-            m.shrink_letter(3)
+            _shrink_letter(m.binding[0], 3)
 
 
 class TestMartingale:
@@ -107,16 +123,14 @@ class TestMartingale:
             lam = rng.dirichlet(np.ones(J))
             p1, p2 = rng.uniform(0.05, 0.95, size=2)
             coins = BinaryCoinPair(p1, p2)
-            m = build_successor(lam, coins)
-            if m is None:
-                continue
+            _, d = successor(lam, coins)
             s2 = np.array([p2, 1 - p2])
             s1 = np.array([p1, 1 - p1])
             for a1 in (ALPHA, BETA):
-                avg = s2[0] * m.d[2 * a1] + s2[1] * m.d[2 * a1 + 1]
+                avg = s2[0] * d[2 * a1] + s2[1] * d[2 * a1 + 1]
                 assert np.max(np.abs(avg - lam)) <= 1e-9
             for a2 in (ALPHA, BETA):
-                avg = s1[0] * m.d[a2] + s1[1] * m.d[2 + a2]
+                avg = s1[0] * d[a2] + s1[1] * d[2 + a2]
                 assert np.max(np.abs(avg - lam)) <= 1e-9
 
     def test_support_never_grows(self):
@@ -124,13 +138,13 @@ class TestMartingale:
         lam = rng.dirichlet(np.ones(5))
         coins = BinaryCoinPair(0.4, 0.6)
         for t in range(400):
-            m = build_successor(lam, coins)
-            if m is None:
+            if np.count_nonzero(lam > 0.0) <= 1:
                 break
+            _, d = successor(lam, coins)
             before = lam > 0.0
             a1 = ALPHA if rng.random() < 0.4 else BETA
             a2 = ALPHA if rng.random() < 0.6 else BETA
-            lam = m.successor(a1, a2)
+            lam = d[2 * a1 + a2]
             assert not np.any((lam > 0.0) & ~before)
 
 
@@ -449,7 +463,7 @@ class TestStallJumps:
             x[jm] = math.exp(start)
             x[jp] = lam[jp] + lam[jm] - x[jm]
             for _ in range(stages):
-                mp = build_successor(x, coins)
-                assert (mp.j_plus, mp.j_minus, mp.binding_pair) == (jp, jm, b)
-                x = mp.successor(a1, a2)
+                mp, d = successor(x, coins)
+                assert (mp.j_plus[0], mp.j_minus[0], mp.binding[0]) == (jp, jm, b)
+                x = d[2 * a1 + a2]
                 assert np.all(x > 0.0)
