@@ -23,9 +23,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .adversaries import AdversarySpec, parse_adversary
-from .core import BinaryCoinPair, ProbabilityVector, is_json_number, json_number
+from .core import BinaryCoinPair, ProbabilityVector, config_object, is_json_number, json_number
 from .game import (
-    BlockProfile,
     QuittingGame,
     build_block_profile,
     deviation_gain,
@@ -62,27 +61,7 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _check_keys(cfg: dict, allowed: set[str], what: str) -> None:
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {what} config keys: {sorted(unknown)}")
-
-
-def _require(cfg: dict, key: str, what: str):
-    if key not in cfg:
-        raise ConfigError(f"{what} config needs {key!r}")
-    return cfg[key]
-
-
-def _coins(cfg: dict) -> BinaryCoinPair:
-    raw = _require(cfg, "coins", "lottery")
-    if not isinstance(raw, dict):
-        raise ConfigError("coins must be an object with p1_alpha and p2_alpha")
-    return BinaryCoinPair.from_dict(raw)
-
-
-def _target(cfg: dict) -> ProbabilityVector:
-    raw = _require(cfg, "target", "lottery")
+def _target(raw) -> ProbabilityVector:
     if not isinstance(raw, dict) or not raw:
         raise ConfigError("target must be a nonempty label -> mass object")
     return ProbabilityVector.from_dict(raw)
@@ -126,19 +105,23 @@ def _eps_setting(args, cfg: dict, default=None) -> float | None:
     return eps
 
 
-def _map_shards(worker, payloads: list, jobs: int) -> list:
-    """Run shard payloads in submission order, optionally in processes."""
+def _shard(payload):
+    """One shard of a lottery command.  The engine is looked up in this
+    module at call time, so a wrapper set on ``jcl.cli`` is the one run."""
+    engine, kw, index, runs = payload
+    run = simulate_strong if engine == "strong" else simulate_weak
+    return run(runs=runs, context=("shard", index), **kw)
+
+
+def _shards(engine: str, lottery: dict, runs: int, jobs: int, **kw) -> list:
+    """Run ``runs`` lotteries in fixed-size shards, in submission order,
+    optionally in processes; ``lottery`` and ``kw`` are engine keywords."""
+    sizes = [SHARD_RUNS] * (runs // SHARD_RUNS) + ([runs % SHARD_RUNS] if runs % SHARD_RUNS else [])
+    payloads = [(engine, {**lottery, **kw}, i, n) for i, n in enumerate(sizes)]
     if jobs <= 1 or len(payloads) <= 1:
-        return [worker(p) for p in payloads]
+        return [_shard(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, payloads))
-
-
-def _shard_sizes(runs: int) -> list[int]:
-    sizes = [SHARD_RUNS] * (runs // SHARD_RUNS)
-    if runs % SHARD_RUNS:
-        sizes.append(runs % SHARD_RUNS)
-    return sizes
+        return list(pool.map(_shard, payloads))
 
 
 def _joined(batches: list, name: str, dtype=np.int64) -> np.ndarray:
@@ -176,43 +159,50 @@ def _write_json(path: str, payload: dict) -> None:
             f.close()
 
 
-def _strong_shard(p):
-    coins, target, C, spec, device, seed, index, n = p
-    return simulate_strong(
-        coins, target, C, n,
-        adversary=spec, adversary_device=device,
-        seed=seed, context=("shard", index),
+def _lottery(args, cfg: dict, command: str, keys: tuple[str, ...]) -> tuple[dict, int]:
+    """Settings every lottery command reads, after checking ``cfg``'s
+    keys against them and the command's own ``keys``.
+
+    Returns the engine keywords every shard shares (coins, target,
+    adversary, adversary_device, seed) and the number of runs.
+    """
+    config_object(
+        cfg, f"{command} config", required=("coins", "target"),
+        optional=("adversary", "adversary_device", "runs", "seed", *keys),
     )
+    lottery = {"coins": BinaryCoinPair.from_dict(cfg["coins"]), "target": _target(cfg["target"])}
+    lottery["adversary"], lottery["adversary_device"] = _adversary(cfg)
+    runs = _int_setting(args.runs, cfg, "runs", what=command)
+    lottery["seed"] = _int_setting(args.seed, cfg, "seed", 0, what=command)
+    return lottery, runs
 
 
-def _weak_shard(p):
-    coins, target, spec, device, seed, index, n, max_stages, window = p
-    return simulate_weak(
-        coins, target, n,
-        adversary=spec, adversary_device=device,
-        seed=seed, context=("shard", index),
-        max_stages=max_stages, window=window,
-    )
+def _gate(args, stat: str, value: float, eps: float | None, runs: int, labels: int) -> int:
+    """Under --assert, print whether ``value`` stays within eps plus the
+    99% Hoeffding margin, and return the exit code."""
+    if not args.do_assert:
+        return 0
+    if eps is None:
+        raise ConfigError("--assert needs an eps gate (flag or config)")
+    if runs == 0:
+        raise ConfigError("--assert needs runs > 0")
+    bound = eps + hoeffding_margin(runs, labels, 0.01)
+    ok = value <= bound
+    verdict = "PASS" if ok else "FAIL"
+    print(f"gate: {stat} {value:.6f} {'<=' if ok else '>'} {bound:.6f} -> {verdict}")
+    return 0 if ok else 3
 
 
 def cmd_lottery_strong(args, cfg: dict) -> int:
-    _check_keys(
-        cfg,
-        {"coins", "target", "adversary", "adversary_device", "C", "eps", "runs", "seed"},
-        "lottery-strong",
-    )
-    coins = _coins(cfg)
-    target = _target(cfg)
-    spec, device = _adversary(cfg)
-    runs = _int_setting(args.runs, cfg, "runs", what="lottery-strong")
-    seed = _int_setting(args.seed, cfg, "seed", 0, what="lottery-strong")
+    lottery, runs = _lottery(args, cfg, "lottery-strong", ("C", "eps"))
+    coins, target = lottery["coins"], lottery["target"]
     eps = _eps_setting(args, cfg)
     C = cfg.get("C")
     if C is None:
         if eps is None:
             raise ConfigError("lottery-strong needs either 'C' or an eps to calibrate from")
         log.info("no C given, calibrating at eps=%s", eps)
-        calibration = calibrate_C(coins, target, eps, seed=seed)
+        calibration = calibrate_C(coins, target, eps, seed=lottery["seed"])
         if not calibration.accepted:
             raise ConfigError(f"calibration failed to find C at eps={eps}")
         C = calibration.C
@@ -220,11 +210,7 @@ def cmd_lottery_strong(args, cfg: dict) -> int:
     if C <= 0:
         raise ConfigError(f"C must be positive, got {C}")
 
-    payloads = [
-        (coins, target, C, spec, device, seed, i, n)
-        for i, n in enumerate(_shard_sizes(runs))
-    ]
-    batches = _map_shards(_strong_shard, payloads, args.jobs)
+    batches = _shards("strong", lottery, runs, args.jobs, C=C)
     outcome_idx = _joined(batches, "outcome_idx")
     stages = _joined(batches, "stages")
     z = _joined(batches, "z", np.float64)
@@ -239,61 +225,40 @@ def cmd_lottery_strong(args, cfg: dict) -> int:
     counts = np.bincount(outcome_idx, minlength=target.outcomes.size)
     linf = linf_distance(EmpiricalDistribution(target.outcomes, counts), target) if runs else 0.0
     print(f"lottery-strong: runs={runs} C={C!r} linf={linf:.6f}")
-    if args.do_assert:
-        if eps is None:
-            raise ConfigError("--assert needs an eps gate (flag or config)")
-        if runs == 0:
-            raise ConfigError("--assert needs runs > 0")
-        bound = eps + hoeffding_margin(runs, target.outcomes.size, 0.01)
-        ok = linf <= bound
-        print(f"gate: linf {linf:.6f} {'<=' if ok else '>'} {bound:.6f} -> {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            return 3
-    return 0
+    return _gate(args, "linf", linf, eps, runs, target.outcomes.size)
 
 
 def _weak_batch(args, cfg: dict, command: str, *, with_eps: bool, max_stages: int | None):
-    """Config, shards and verdicts of the detecting lottery commands.
+    """Settings, shards and verdicts of the detecting lottery commands.
 
-    Returns the target, the adversary spec and device, the eps gate
+    Returns the lottery settings (see :func:`_lottery`), the eps gate
     (None unless ``with_eps``), the runs joined into one batch, and
     their verdicts.  ``max_stages=None`` defaults to the lottery's own
     budget.
     """
-    keys = {"coins", "target", "adversary", "adversary_device", "runs", "seed",
-            "max_stages", "window", "faulty_below", "honest_above"}
-    _check_keys(cfg, keys | ({"eps"} if with_eps else set()), command)
-    coins = _coins(cfg)
-    target = _target(cfg)
-    spec, device = _adversary(cfg)
-    runs = _int_setting(args.runs, cfg, "runs", what=command)
-    seed = _int_setting(args.seed, cfg, "seed", 0, what=command)
+    keys = ("max_stages", "window", "faulty_below", "honest_above")
+    lottery, runs = _lottery(args, cfg, command, keys + (("eps",) if with_eps else ()))
     eps = _eps_setting(args, cfg, 0.0) if with_eps else None
     if max_stages is None:
-        max_stages = default_max_stages(coins, target)
+        max_stages = default_max_stages(lottery["coins"], lottery["target"])
     max_stages = _int_setting(args.max_stages, cfg, "max_stages", max_stages, what=command)
     window = _int_setting(None, cfg, "window", 1000, what=command)
     faulty_below = json_number(cfg.get("faulty_below", 0.1), "faulty_below")
     honest_above = json_number(cfg.get("honest_above", 0.2), "honest_above")
 
-    payloads = [
-        (coins, target, spec, device, seed, i, n, max_stages, window)
-        for i, n in enumerate(_shard_sizes(runs))
-    ]
-    batches = _map_shards(_weak_shard, payloads, args.jobs)
-    batch = WeakBatch(
-        target.outcomes, *(_joined(batches, name) for name in
-                           ("outcome_idx", "stages", "match1", "match2", "window_stages")),
-        window, max_stages,
-    )
+    batches = _shards("weak", lottery, runs, args.jobs, max_stages=max_stages, window=window)
+    fields = ("outcome_idx", "stages", "match1", "match2", "window_stages")
+    batch = WeakBatch(lottery["target"].outcomes, *(_joined(batches, name) for name in fields),
+                      window, max_stages)
     verdicts = batch.verdicts(faulty_below=faulty_below, honest_above=honest_above)
-    return target, spec, device, eps, batch, verdicts
+    return lottery, eps, batch, verdicts
 
 
 def cmd_lottery_weak(args, cfg: dict) -> int:
-    target, _, _, eps, batch, verdicts = _weak_batch(
+    lottery, eps, batch, verdicts = _weak_batch(
         args, cfg, "lottery-weak", with_eps=True, max_stages=None
     )
+    target = lottery["target"]
     labels = target.outcomes.labels
     rows = (
         (i, labels[k] if k >= 0 else "timeout", s, v)
@@ -317,21 +282,14 @@ def cmd_lottery_weak(args, cfg: dict) -> int:
         f"lottery-weak: runs={runs} timeouts={timeouts} max_stages={batch.max_stages} "
         f"max_excess={excess:.6f}"
     )
-    if args.do_assert:
-        if runs == 0:
-            raise ConfigError("--assert needs runs > 0")
-        bound = eps + hoeffding_margin(runs, target.outcomes.size, 0.01)
-        ok = excess <= bound
-        print(f"gate: excess {excess:.6f} {'<=' if ok else '>'} {bound:.6f} -> {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            return 3
-    return 0
+    return _gate(args, "excess", excess, eps, runs, target.outcomes.size)
 
 
 def cmd_detect(args, cfg: dict) -> int:
-    _, spec, device, _, batch, verdicts = _weak_batch(
+    lottery, _, batch, verdicts = _weak_batch(
         args, cfg, "detect", with_eps=False, max_stages=10_000
     )
+    spec, device = lottery["adversary"], lottery["adversary_device"]
     timed_out = (batch.outcome_idx < 0).tolist()
     rates = zip(batch.match1.tolist(), batch.match2.tolist(), batch.window_stages.tolist())
     rows = []
@@ -369,13 +327,10 @@ def cmd_detect(args, cfg: dict) -> int:
 
 
 def cmd_calibrate(args, cfg: dict) -> int:
-    _check_keys(
-        cfg,
-        {"coins", "target", "eps", "runs_per_probe", "max_doublings", "seed"},
-        "calibrate",
-    )
-    coins = _coins(cfg)
-    target = _target(cfg)
+    config_object(cfg, "calibrate config", required=("coins", "target"),
+                  optional=("eps", "runs_per_probe", "max_doublings", "seed"))
+    coins = BinaryCoinPair.from_dict(cfg["coins"])
+    target = _target(cfg["target"])
     eps = _eps_setting(args, cfg)
     if eps is None:
         raise ConfigError("calibrate needs an eps (flag or config)")
@@ -398,30 +353,21 @@ def cmd_calibrate(args, cfg: dict) -> int:
     return 0
 
 
-def _game_profile(args, cfg: dict) -> tuple[BlockProfile, float, int]:
-    game = QuittingGame.from_dict(_require(cfg, "game", "game"))
-    sunspot = sunspot_from_dict(game, _require(cfg, "sunspot", "game"))
+def cmd_game(args, cfg: dict) -> int:
+    config_object(cfg, "game config", required=("game", "sunspot"),
+                  optional=("C", "eps", "runs", "seed", "players", "deviations"))
+    seed = _int_setting(args.seed, cfg, "seed", 0, what="game")
+    game = QuittingGame.from_dict(cfg["game"])
+    sunspot = sunspot_from_dict(game, cfg["sunspot"])
     eps = _eps_setting(args, cfg)
     if eps is None:
         raise ConfigError("game needs an eps (flag or config)")
-    seed = _int_setting(args.seed, cfg, "seed", 0, what="game")
     runs = _int_setting(args.runs, cfg, "runs", what="game")
     C = cfg.get("C")
     profile = build_block_profile(
         game, sunspot, eps, C=None if C is None else json_number(C, "C"), seed=seed,
     )
     log.info("block profile: T=%d C=%r eps_block=%r", profile.T, profile.C, profile.eps_block)
-    return profile, eps, runs
-
-
-def cmd_game(args, cfg: dict) -> int:
-    _check_keys(
-        cfg,
-        {"game", "sunspot", "C", "eps", "runs", "seed", "players", "deviations"},
-        "game",
-    )
-    seed = _int_setting(args.seed, cfg, "seed", 0, what="game")
-    profile, eps, runs = _game_profile(args, cfg)
     if runs < 1:
         raise ConfigError("game needs runs > 0")
     target = profile.sunspot.target_payoff
@@ -474,22 +420,15 @@ def cmd_game(args, cfg: dict) -> int:
     if "deviations" in cfg:
         family = [parse_deviation(str(n)) for n in cfg["deviations"]]
 
-    worst_gain = -float("inf")
-    worst_ci = 0.0
-    per_player = {}
-    for p in players:
-        try:
-            rep = deviation_gain(profile, p, runs, family=family, seed=seed)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        per_player[p] = rep.as_dict()
-        if rep.max_gain > worst_gain:
-            worst_gain = rep.max_gain
-            worst = rep.worst
-            worst_ci = worst.ci if worst is not None else 0.0
-    bound = 6.0 * eps + worst_ci
+    try:
+        reports = [deviation_gain(profile, p, runs, family=family, seed=seed) for p in players]
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    worst = max(reports, key=lambda r: r.max_gain)
+    worst_gain = worst.max_gain
+    bound = 6.0 * eps + (worst.worst.ci if worst.worst is not None else 0.0)
     gate = {"max_gain": worst_gain, "bound": bound, "passed": bool(worst_gain <= bound)}
-    report["players"] = per_player
+    report["players"] = {p: r.as_dict() for p, r in zip(players, reports)}
     report["gate"] = gate
     _write_json(args.out, report)
     print(

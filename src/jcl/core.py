@@ -51,6 +51,24 @@ def json_number(value, key: str) -> float:
     return float(value)
 
 
+def config_object(value, what: str, required=(), optional=(), *, key: str = "key") -> dict:
+    """Config value ``value`` as a JSON object named ``what`` in messages.
+
+    It must be a dict, every key must be in ``required`` or
+    ``optional``, and every ``required`` key must be present.  ``key``
+    names what a required key is (say, a player) when one is missing.
+    """
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {value!r}")
+    unknown = set(value).difference(required, optional)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    for k in required:
+        if k not in value:
+            raise ValueError(f"{what} missing {key} {k!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class OutcomeSet:
     """Finite ordered set of distinct outcome labels.
@@ -193,11 +211,7 @@ class BinaryCoinPair:
 
     @classmethod
     def from_dict(cls, d: dict[str, float]) -> "BinaryCoinPair":
-        extra = set(d) - {"p1_alpha", "p2_alpha"}
-        if extra:
-            raise ValueError(f"unknown coin keys {sorted(extra)}")
-        if set(d) != {"p1_alpha", "p2_alpha"}:
-            raise ValueError("coins need exactly the keys p1_alpha and p2_alpha")
+        config_object(d, "coins", required=("p1_alpha", "p2_alpha"))
         return cls(json_number(d["p1_alpha"], "p1_alpha"), json_number(d["p2_alpha"], "p2_alpha"))
 
 

@@ -28,9 +28,11 @@ from .core import (
     BinaryPartition,
     OutcomeSet,
     ProbabilityVector,
+    config_object,
     json_number,
     substream,
 )
+from .stats import hoeffding_margin
 from .strong import CalibrationResult, calibrate_C, simulate_strong
 
 QUIT = "quit"       # reserved quit-action label, distinct from continue actions
@@ -167,17 +169,17 @@ class QuittingGame:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuittingGame":
-        unknown = set(d) - {"players", "continue_actions", "payoffs"}
-        if unknown:
-            raise ValueError(f"unknown game keys: {sorted(unknown)}")
+        config_object(d, "game", required=("players", "continue_actions", "payoffs"))
         players = tuple(d["players"])
-        actions = {p: OutcomeSet(d["continue_actions"][p]) for p in players}
+        acts = config_object(d["continue_actions"], "continue_actions",
+                             required=players, key="player")
+        actions = {p: OutcomeSet(acts[p]) for p in players}
         payoffs: dict[tuple[str, ...], np.ndarray] = {}
         for entry in d["payoffs"]:
-            unknown = set(entry) - {"profile", "u"}
-            if unknown:
-                raise ValueError(f"unknown payoff entry keys: {sorted(unknown)}")
-            profile = tuple(entry["profile"][p] for p in players)
+            config_object(entry, "payoff entry", required=("profile", "u"))
+            chosen = config_object(entry["profile"], "payoff profile",
+                                   required=players, key="player")
+            profile = tuple(chosen[p] for p in players)
             payoffs[profile] = _json_numbers(entry["u"], f"payoff u of {profile}")
         return cls(players, actions, payoffs)
 
@@ -451,11 +453,20 @@ def build_block_profile(
     outcomes = OutcomeSet(expected_labels)
     calibration = None
     if C is None:
-        if nu0.is_dirac:
-            # a deterministic designation needs no lottery accuracy
+        # one C serves every block, so calibrate the one non-Dirac law
+        # the profile plays; a deterministic designation needs no
+        # lottery accuracy
+        law_of, laws, _ = _block_laws(sunspot, expected_labels, T)
+        mixed = [k for k, law in enumerate(laws) if not law.is_dirac]
+        if len(mixed) > 1:
+            raise ValueError(
+                f"designation at block {int(np.argmax(law_of == mixed[1]))} plays a second "
+                "non-Dirac law; one calibrated C cannot serve two lottery targets"
+            )
+        if not mixed:
             C = 4.0 / eps_block**2
         else:
-            calibration = calibrate_C(coins, nu0, eps_block, seed=seed)
+            calibration = calibrate_C(coins, laws[mixed[0]], eps_block, seed=seed)
             if not calibration.accepted:
                 raise RuntimeError(
                     "lottery calibration exhausted its doubling schedule at "
@@ -602,7 +613,7 @@ class BlockSimResult:
 
 
 def _block_laws(
-    profile: BlockProfile, horizon: int,
+    sunspot: SunspotProfile, labels: tuple[str, ...], horizon: int,
 ) -> tuple[np.ndarray, list[ProbabilityVector], np.ndarray]:
     """Per-block designation laws and quit rates over ``horizon`` blocks.
 
@@ -614,9 +625,9 @@ def _block_laws(
     law_of = np.empty(horizon, dtype=np.int64)
     laws: list[ProbabilityVector] = []
     seen: dict[bytes, int] = {}
-    eta = np.empty((horizon, profile.lottery_outcomes.size))
+    eta = np.empty((horizon, len(labels)))
     for t in range(horizon):
-        nu_t, eta[t] = _block_row(profile.sunspot, profile.lottery_outcomes.labels, t)
+        nu_t, eta[t] = _block_row(sunspot, labels, t)
         key = nu_t.mass.tobytes()
         if key not in seen:
             seen[key] = len(laws)
@@ -664,7 +675,7 @@ def simulate_block_profile(
     players = game.players
     forced = deviator is not None and isinstance(deviator[1], QuitAtBlock)
     horizon = deviator[1].block - 1 if forced else profile.T
-    law_of, laws, eta = _block_laws(profile, horizon)
+    law_of, laws, eta = _block_laws(profile.sunspot, profile.lottery_outcomes.labels, horizon)
     eta_max = float(eta.max(initial=0.0))
     harness = substream(seed, *context, "game")
     spec, spec_device = _lottery_specs(profile, deviator)
@@ -695,7 +706,7 @@ def simulate_block_profile(
                 ).outcome_idx
         quits = harness.random(idx.size) < eta[t, outcome] / eta_max
         rows, who = idx[quits], outcome[quits]
-        _, payoff[rows] = _absorb(profile, harness, who, deviator)
+        payoff[rows] = _absorb(profile, harness, who, deviator)
         block[rows] = t[quits] + 1
         quitter[rows] = who
         idx, passed = idx[~quits], t[~quits] + 1
@@ -704,7 +715,7 @@ def simulate_block_profile(
     rest = np.nonzero(block < 0)[0]
     if forced:
         dev_idx = players.index(deviator[0])
-        _, payoff[rest] = _absorb(profile, harness, np.full(rest.size, dev_idx), deviator)
+        payoff[rest] = _absorb(profile, harness, np.full(rest.size, dev_idx), deviator)
         block[rest] = horizon + 1
         quitter[rest] = dev_idx
     elif rest.size:
@@ -718,12 +729,11 @@ def _absorb(
     rng: np.random.Generator,
     quitter_idx: np.ndarray,
     deviator: tuple[str, Deviation] | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Realized absorption of runs whose quitters are ``quitter_idx``.
+) -> np.ndarray:
+    """Realized payoff vectors of runs whose quitters are ``quitter_idx``.
 
     Every other player draws a continue action from x' (a constant
-    continue deviator plays its action).  Returns the action indices,
-    shape (runs, players), and the payoff vectors.
+    continue deviator plays its action).
     """
     game = profile.game
     players = game.players
@@ -739,8 +749,7 @@ def _absorb(
         action_idx[:, j] = np.minimum(draws, pv.outcomes.size - 1)
     quit_pos = np.array([len(game.action_space(p)) - 1 for p in players], dtype=np.int64)
     action_idx[np.arange(k), quitter_idx] = quit_pos[quitter_idx]
-    tensor = game.payoff_tensor
-    return action_idx, tensor[tuple(action_idx[:, j] for j in range(len(players)))]
+    return game.payoff_tensor[tuple(action_idx[:, j] for j in range(len(players)))]
 
 
 @dataclass(frozen=True)
@@ -759,7 +768,7 @@ class PayoffEstimate:
 
 def _ci_half_width(n: int) -> float:
     # per-coordinate 99% half-width used by every estimate in this module
-    return 3.0 * math.sqrt(math.log(2.0 / 0.01) / (2.0 * n))
+    return 3.0 * hoeffding_margin(n, 1, 0.01)
 
 
 def estimate_payoff(
@@ -892,7 +901,7 @@ def oracle_payoff(profile: BlockProfile) -> np.ndarray:
     gamma = np.zeros(len(players))
     survive = 1.0
     quit_vectors = [game.quit_value(p, profile.x_prime) for p in players]
-    law_of, laws, eta = _block_laws(profile, profile.T)
+    law_of, laws, eta = _block_laws(profile.sunspot, profile.lottery_outcomes.labels, profile.T)
     for t in range(profile.T):
         mass = laws[law_of[t]].mass
         p_absorb = 0.0
@@ -908,28 +917,22 @@ def oracle_payoff(profile: BlockProfile) -> np.ndarray:
 
 def sunspot_from_dict(game: QuittingGame, d: dict) -> SunspotProfile:
     """Sunspot data from config JSON: mixing, designation, eta, target."""
-    unknown = set(d) - {"x", "designation", "eta", "target_payoff"}
-    if unknown:
-        raise ValueError(f"unknown sunspot keys: {sorted(unknown)}")
+    config_object(d, "sunspot", required=("x", "designation", "eta"), optional=("target_payoff",))
+    mixings = config_object(d["x"], "sunspot x", required=game.players, key="player")
     x: dict[str, ProbabilityVector] = {}
     for p in game.players:
-        if p not in d["x"]:
-            raise ValueError(f"sunspot mixing missing player {p}")
-        weights = d["x"][p]
         acts = game.continue_actions[p]
-        mass = [json_number(weights.get(a, 0.0), f"mixing weight {p}/{a}") for a in acts.labels]
-        extra = set(weights) - set(acts.labels)
-        if extra:
-            raise ValueError(f"mixing of {p} names unknown actions {sorted(extra)}")
-        x[p] = ProbabilityVector(acts, mass)
+        weights = config_object(mixings[p], f"actions of {p}", optional=acts.labels)
+        x[p] = ProbabilityVector(acts, [
+            json_number(weights.get(a, 0.0), f"mixing weight {p}/{a}") for a in acts.labels
+        ])
     outcomes = OutcomeSet(game.players + (NOBODY,))
-    des = d["designation"]
-    kind = des.get("type")
+    des = config_object(d["designation"], "designation",
+                        required=("type",), optional=("probs", "order"))
+    kind = des["type"]
     if kind == "stationary":
-        probs = des.get("probs", {})
-        extra = set(probs) - set(outcomes.labels)
-        if extra:
-            raise ValueError(f"designation names unknown labels {sorted(extra)}")
+        probs = config_object(des.get("probs", {}), "labels of designation probs",
+                              optional=outcomes.labels)
         pv = ProbabilityVector(outcomes, [
             json_number(probs.get(l, 0.0), f"designation prob of {l!r}") for l in outcomes.labels
         ])

@@ -47,20 +47,38 @@ def _build_game() -> QuittingGame:
     return QuittingGame(players, actions, payoffs)
 
 
-def example_quitting_game() -> tuple[QuittingGame, SunspotProfile]:
-    """Three players, stationary designation, exact target (0.55, 0.55, 0.5)."""
+def _profile(*, cyclic: bool = False, x_p1=(0.6, 0.4)) -> tuple[QuittingGame, SunspotProfile]:
+    """The example game and its sunspot.
+
+    P1 mixes by ``x_p1``, P2 evenly and P3 plays its one action; eta is
+    0.02.  The designation is the stationary law 0.3/0.3/0.3/0.1 or,
+    with ``cyclic``, the rotation P1, P2, P3; the target is the exact
+    payoff of that designation.
+    """
     game = _build_game()
+    acts = game.continue_actions
     x = {
-        "P1": ProbabilityVector(game.continue_actions["P1"], [0.6, 0.4]),
-        "P2": ProbabilityVector(game.continue_actions["P2"], [0.5, 0.5]),
-        "P3": ProbabilityVector(game.continue_actions["P3"], [1.0]),
+        "P1": ProbabilityVector(acts["P1"], list(x_p1)),
+        "P2": ProbabilityVector(acts["P2"], [0.5, 0.5]),
+        "P3": ProbabilityVector(acts["P3"], [1.0]),
     }
     outcomes = OutcomeSet(game.players + (NOBODY,))
-    designation = StationaryDesignation(
-        ProbabilityVector(outcomes, [0.3, 0.3, 0.3, 0.1])
-    )
-    target = np.mean([_SOLO[p] for p in game.players], axis=0)
-    return game, SunspotProfile(x=x, designation=designation, eta=0.02, target_payoff=target)
+    eta = 0.02
+    if cyclic:
+        designation = CyclicDesignation(outcomes, game.players)
+        # the quitter over one rotation is offset r with weight (1-eta)^r
+        weights = np.array([(1.0 - eta) ** r for r in range(3)])
+        weights /= weights.sum()
+        target = sum(w * _SOLO[p] for w, p in zip(weights, game.players))
+    else:
+        designation = StationaryDesignation(ProbabilityVector(outcomes, [0.3, 0.3, 0.3, 0.1]))
+        target = np.mean([_SOLO[p] for p in game.players], axis=0)
+    return game, SunspotProfile(x=x, designation=designation, eta=eta, target_payoff=target)
+
+
+def example_quitting_game() -> tuple[QuittingGame, SunspotProfile]:
+    """Three players, stationary designation, exact target (0.55, 0.55, 0.5)."""
+    return _profile()
 
 
 def cyclic_variant() -> tuple[QuittingGame, SunspotProfile]:
@@ -68,21 +86,9 @@ def cyclic_variant() -> tuple[QuittingGame, SunspotProfile]:
 
     With constant eta the infinite-horizon quitter distribution over
     one rotation is proportional to (1-eta)^r at offset r, which gives
-    the exact target below.
+    the exact target.
     """
-    game = _build_game()
-    x = {
-        "P1": ProbabilityVector(game.continue_actions["P1"], [0.6, 0.4]),
-        "P2": ProbabilityVector(game.continue_actions["P2"], [0.5, 0.5]),
-        "P3": ProbabilityVector(game.continue_actions["P3"], [1.0]),
-    }
-    outcomes = OutcomeSet(game.players + (NOBODY,))
-    designation = CyclicDesignation(outcomes, ("P1", "P2", "P3"))
-    eta = 0.02
-    weights = np.array([(1.0 - eta) ** r for r in range(3)])
-    weights /= weights.sum()
-    target = sum(w * _SOLO[p] for w, p in zip(weights, ("P1", "P2", "P3")))
-    return game, SunspotProfile(x=x, designation=designation, eta=eta, target_payoff=target)
+    return _profile(cyclic=True)
 
 
 def perturbed_variant() -> tuple[QuittingGame, SunspotProfile]:
@@ -91,15 +97,4 @@ def perturbed_variant() -> tuple[QuittingGame, SunspotProfile]:
     Exercises the pure-action repair: the block profile must perturb
     P1's mixing before it can carry lottery letters.
     """
-    game = _build_game()
-    x = {
-        "P1": ProbabilityVector.dirac(game.continue_actions["P1"], "a"),
-        "P2": ProbabilityVector(game.continue_actions["P2"], [0.5, 0.5]),
-        "P3": ProbabilityVector(game.continue_actions["P3"], [1.0]),
-    }
-    outcomes = OutcomeSet(game.players + (NOBODY,))
-    designation = StationaryDesignation(
-        ProbabilityVector(outcomes, [0.3, 0.3, 0.3, 0.1])
-    )
-    target = np.mean([_SOLO[p] for p in game.players], axis=0)
-    return game, SunspotProfile(x=x, designation=designation, eta=0.02, target_payoff=target)
+    return _profile(x_p1=(1.0, 0.0))

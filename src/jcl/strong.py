@@ -13,7 +13,7 @@ can neither stall the run nor shift any outcome probability by more
 than an amount that vanishes as ``C`` grows.
 
 Two execution paths share the same definitions: :func:`run_strong`
-plays one run stage by stage and can record a transcript, while
+plays one run stage by stage and records its transcript, while
 :func:`simulate_strong` advances many runs at once and is exact in
 distribution, not an approximation.  Each adversary spec's letter
 rule lives only in its :class:`_StrongPlan`: the batch engine steers
@@ -229,8 +229,6 @@ class _StrongPlan:
     @classmethod
     def bind(cls, spec: AdversarySpec, device: int, table: ScoreTable,
              partition: IntervalPartition, C: float) -> "_StrongPlan":
-        if device not in (1, 2):
-            raise ValueError(f"device must be 1 or 2, got {device}")
         p_of = np.array([1.0, 0.0, table.coins.prob(device, ALPHA)])
         if isinstance(spec, Honest):
             return cls(p_of, 2, table.flat)
@@ -294,7 +292,7 @@ class StrongRunResult:
     z: float
     sum_y: float
     sum_y2: float
-    transcript: Transcript | None = None
+    transcript: Transcript
 
 
 def run_strong(
@@ -305,7 +303,6 @@ def run_strong(
     adversary: AdversarySpec | None = None,
     adversary_device: int = 1,
     seed: int = 0,
-    record: bool = True,
     context: tuple = (),
 ) -> StrongRunResult:
     """Play one bounded lottery run stage by stage.
@@ -342,8 +339,7 @@ def run_strong(
         a1 = ALPHA if rng1.random() < p[0] else BETA
         a2 = ALPHA if rng2.random() < p[1] else BETA
         counts[2 * a1 + a2] += 1
-        if record:
-            letters.append((a1, a2))
+        letters.append((a1, a2))
         stage += 1
         if stage > cap:
             raise AssertionError("variance clock failed to reach C within the hard cap")
@@ -351,7 +347,6 @@ def run_strong(
     z = sum_y / math.sqrt(C)
     idx = partition.index_of(z)
     label = partition.outcomes.labels[idx]
-    transcript = Transcript(stages=letters, terminal=label) if record else None
     return StrongRunResult(
         outcome=label,
         outcome_index=idx,
@@ -359,7 +354,7 @@ def run_strong(
         z=z,
         sum_y=sum_y,
         sum_y2=_dot(counts, w2),
-        transcript=transcript,
+        transcript=Transcript(stages=letters, terminal=label),
     )
 
 

@@ -179,8 +179,6 @@ class _WeakPolicy:
     @classmethod
     def bind(cls, spec: AdversarySpec, device: int, coins: BinaryCoinPair,
              outcomes: OutcomeSet) -> "_WeakPolicy":
-        if device not in (1, 2):
-            raise ValueError(f"device must be 1 or 2, got {device}")
         target = outcomes.index(spec.target) if isinstance(spec, Push) else -1
         return cls(spec, device, coins.prob(device, ALPHA), target)
 
@@ -231,8 +229,7 @@ class WeakRunResult:
     outcome_index: int      # -1 on timeout
     stages: int
     final: np.ndarray       # belief when play stopped
-    transcript: Transcript | None = None
-    verdict: "DetectionVerdict | None" = None
+    transcript: Transcript
 
 
 def run_weak(
@@ -243,11 +240,7 @@ def run_weak(
     adversary_device: int = 1,
     seed: int = 0,
     max_stages: int | None = None,
-    record: bool = True,
     context: tuple = (),
-    window: int = 1000,
-    faulty_below: float = 0.1,
-    honest_above: float = 0.2,
 ) -> WeakRunResult:
     """Play one detecting lottery run stage by stage.
 
@@ -255,9 +248,8 @@ def run_weak(
     policies to a one-row batch and draws one uniform per device, so a
     ``_per_stage=True`` batch replays these runs.  Transcript stage
     records are (a1, a2, shrink1, shrink2) so that a third party can
-    audit who kept avoiding their binding letter; the returned verdict
-    is detect_fault on that transcript with the given window and
-    thresholds.
+    audit who kept avoiding their binding letter; :func:`detect_fault`
+    reads a verdict off that transcript.
 
     Beliefs are floats.  Under a stall at coins 0.3/0.7, lam_minus
     reaches the subnormal floor after about 2e4 stages; the successor
@@ -281,9 +273,8 @@ def run_weak(
         succ = _successor_arrays(lam[None], w)
         a1 = ALPHA if rng1.random() < pol1.p_alpha(succ.binding, succ.column)[0] else BETA
         a2 = ALPHA if rng2.random() < pol2.p_alpha(succ.binding, succ.column)[0] else BETA
-        if record:
-            b = int(succ.binding[0])
-            records.append((a1, a2, _shrink_letter(b, 1), _shrink_letter(b, 2)))
+        b = int(succ.binding[0])
+        records.append((a1, a2, _shrink_letter(b, 1), _shrink_letter(b, 2)))
         lam = succ.rows(np.array([2 * a1 + a2]))[0]
         stage += 1
     if np.count_nonzero(lam > 0.0) <= 1:
@@ -291,14 +282,7 @@ def run_weak(
         outcome = target.outcomes.labels[idx]
     else:
         idx, outcome = -1, None
-    transcript = Transcript(stages=records, terminal=outcome) if record else None
-    verdict = None
-    if record:
-        verdict = detect_fault(
-            transcript, coins,
-            window=window, faulty_below=faulty_below, honest_above=honest_above,
-        )
-    return WeakRunResult(outcome, idx, stage, lam, transcript, verdict)
+    return WeakRunResult(outcome, idx, stage, lam, Transcript(stages=records, terminal=outcome))
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,31 @@ class TestConfigErrors:
         assert r.returncode == 2
         assert needle in r.stderr
 
+    @pytest.mark.parametrize("path,value,needle", [
+        (("sunspot", "eta"), None, "sunspot missing key 'eta'"),
+        (("game", "payoffs", 0, "profile", "P3"), None, "payoff profile missing player 'P3'"),
+        (("game", "continue_actions", "P2"), None, "continue_actions missing player 'P2'"),
+        (("sunspot",), "oops", "sunspot must be an object, got 'oops'"),
+        (("sunspot", "x"), "oops", "sunspot x must be an object, got 'oops'"),
+        (("sunspot", "designation"), [], "designation must be an object, got []"),
+        (("game",), [], "game must be an object, got []"),
+    ])
+    def test_malformed_nested_game_configs(self, tmp_path, path, value, needle):
+        # value None deletes the key
+        cfg = {"game": example_quitting_game()[0].to_dict(), "sunspot": sunspot_cfg(),
+               "C": 400.0, "eps": 0.05, "runs": 10}
+        *parents, key = path
+        node = cfg
+        for k in parents:
+            node = node[k]
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value
+        r = run_cli("game", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "g.json"))
+        assert r.returncode == 2
+        assert f"config error: {needle}" in r.stderr
+
     def test_integral_float_settings_are_accepted(self, tmp_path):
         out = tmp_path / "o.csv"
         r = run_cli("lottery-strong", "--config",

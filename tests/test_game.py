@@ -35,6 +35,7 @@ from jcl import (
     sunspot_from_dict,
 )
 from jcl.sample_games import cyclic_variant, example_quitting_game, perturbed_variant
+from jcl.strong import CalibrationResult
 
 SOLO = {
     "P1": np.array([0.55, 0.20, 0.60]),
@@ -350,6 +351,70 @@ class TestBuildProfile:
         bad = SunspotProfile(x=bad_x, designation=sunspot.designation, eta=0.02)
         with pytest.raises(ValueError, match="not over their continue actions"):
             build_block_profile(game, bad, 0.05, C=10.0)
+
+
+class _FirstThen:
+    """Designation law ``first`` at block 0 and ``rest`` after it."""
+
+    def __init__(self, first, rest):
+        self.first, self.rest = first, rest
+
+    def probs(self, t):
+        return self.first if t == 0 else self.rest
+
+
+class TestCalibratedLaw:
+    """build_block_profile calibrates the one non-Dirac law its blocks play."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # the calibrate_C arguments of each call, answered with C = 1234
+        calls = []
+
+        def fake(coins, law, eps_block, *, seed):
+            calls.append((coins, law, eps_block, seed))
+            return CalibrationResult(eps_block, 1.0, 1234.0, True, 0)
+
+        monkeypatch.setattr(jcl.game, "calibrate_C", fake)
+        return calls
+
+    def _switching(self, example, first, rest):
+        game, sunspot = example
+        outcomes = OutcomeSet(game.players + (NOBODY,))
+        rule = _FirstThen(ProbabilityVector(outcomes, first), ProbabilityVector(outcomes, rest))
+        return game, replace(sunspot, designation=rule)
+
+    def test_dirac_first_block_calibrates_the_later_law(self, example, calls):
+        game, sunspot = self._switching(example, [1.0, 0.0, 0.0, 0.0], [0.3, 0.3, 0.3, 0.1])
+        prof = build_block_profile(game, sunspot, 0.05, seed=0)
+        assert prof.T == 174
+        assert [(law.mass.tolist(), eps) for _, law, eps, _ in calls] == [
+            ([0.3, 0.3, 0.3, 0.1], prof.eps_block)
+        ]
+        assert prof.C == 1234.0 and prof.calibration.C == 1234.0
+
+    def test_two_mixed_laws_are_refused(self, example, calls):
+        game, sunspot = self._switching(example, [0.3, 0.3, 0.3, 0.1], [0.25, 0.25, 0.25, 0.25])
+        with pytest.raises(ValueError, match="designation at block 1 plays a second non-Dirac"):
+            build_block_profile(game, sunspot, 0.05, seed=0)
+        assert calls == []
+
+    def test_sample_profiles_keep_their_calibration(self, calls):
+        # stationary profiles calibrate block 0's law, as before; a
+        # cyclic one is all Dirac and keeps 4 / eps_block^2
+        for make in (example_quitting_game, perturbed_variant):
+            game, sunspot = make()
+            calls.clear()
+            prof = build_block_profile(game, sunspot, 0.05, seed=3)
+            nu0 = sunspot.designation.probs(0)
+            assert [(c, law.mass.tolist(), e, sd) for c, law, e, sd in calls] == [
+                (prof.coins, nu0.mass.tolist(), prof.eps_block, 3)
+            ]
+            assert prof.C == 1234.0
+        calls.clear()
+        prof = build_block_profile(*cyclic_variant(), 0.05, seed=3)
+        assert calls == [] and prof.calibration is None
+        assert prof.C == 4.0 / prof.eps_block**2
 
 
 class TestPlay:

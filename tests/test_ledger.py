@@ -12,7 +12,15 @@ import json
 
 import pytest
 
-from jcl import BinaryCoinPair, Honest, ProbabilityVector, default_suite, run_strong, run_weak
+from jcl import (
+    BinaryCoinPair,
+    Honest,
+    ProbabilityVector,
+    default_suite,
+    detect_fault,
+    run_strong,
+    run_weak,
+)
 from jcl.cli import main
 from jcl.sample_games import example_quitting_game
 
@@ -121,8 +129,7 @@ def test_run_strong_transcripts():
 def test_run_weak_transcripts():
     h = hashlib.sha256()
     for coins, target, spec, device, args in _specs():
-        r = run_weak(coins, target, seed=7, max_stages=200, context=(spec.name, device),
-                     window=100, **args)
+        r = run_weak(coins, target, seed=7, max_stages=200, context=(spec.name, device), **args)
         h.update(repr((spec.name, device, r.outcome, r.stages, r.transcript.stages,
-                       r.verdict)).encode())
+                       detect_fault(r.transcript, coins, window=100))).encode())
     assert h.hexdigest() == TRANSCRIPTS["weak"]

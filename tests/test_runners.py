@@ -14,6 +14,7 @@ from jcl import (
     Honest,
     ProbabilityVector,
     default_suite,
+    detect_fault,
     run_strong,
     run_weak,
     simulate_strong,
@@ -28,7 +29,7 @@ CASES = [(spec, dev) for spec in [Honest()] + default_suite(NU3.outcomes.labels)
 def test_run_strong_replays_the_stepwise_batch():
     for spec, dev in CASES:
         kw = {"adversary": spec, "adversary_device": dev, "seed": 7, "context": (spec.name, dev)}
-        r = run_strong(COINS, NU3, 10.0, record=False, **kw)
+        r = run_strong(COINS, NU3, 10.0, **kw)
         b = simulate_strong(COINS, NU3, 10.0, 1, m_cap=1, **kw)
         got = (r.outcome_index, r.stages, r.z)
         assert got == (b.outcome_idx[0], b.stages[0], b.z[0]), (spec.name, dev)
@@ -38,8 +39,8 @@ def test_run_strong_replays_the_stepwise_batch():
 def test_run_weak_replays_the_per_stage_batch(max_stages, window):
     for spec, dev in CASES:
         kw = {"adversary": spec, "adversary_device": dev, "seed": 7, "context": (spec.name, dev),
-              "max_stages": max_stages, "window": window}
+              "max_stages": max_stages}
         r = run_weak(COINS, NU3, **kw)
-        b = simulate_weak(COINS, NU3, 1, _per_stage=True, **kw)
-        got = (r.outcome_index, r.stages, r.verdict.verdict)
+        b = simulate_weak(COINS, NU3, 1, _per_stage=True, window=window, **kw)
+        got = (r.outcome_index, r.stages, detect_fault(r.transcript, COINS, window=window).verdict)
         assert got == (b.outcome_idx[0], b.stages[0], b.verdicts()[0]), (spec.name, dev)

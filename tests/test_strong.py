@@ -20,7 +20,6 @@ from jcl import (
     calibrate_C,
     default_suite,
     hoeffding_margin,
-    linf_distance,
     normal_cdf,
     normal_quantile,
     run_strong,
@@ -148,13 +147,10 @@ class TestRunStrong:
         assert r1.z == r2.z
         assert r1.transcript.stages == r2.transcript.stages
 
-    def test_transcript_length_and_opt_out(self):
+    def test_transcript_length(self):
         r = run_strong(COINS, NU3, 30.0, seed=3)
         assert len(r.transcript.stages) == r.stages
         assert r.transcript.terminal == r.outcome
-        r2 = run_strong(COINS, NU3, 30.0, seed=3, record=False)
-        assert r2.transcript is None
-        assert r2.outcome == r.outcome
 
     def test_tiny_budget_stops_after_one_stage(self):
         # every squared increment is at least min_abs^2 = 0.0081
@@ -270,7 +266,7 @@ class TestSimulateStrong:
         seq_idx = []
         for i in range(n):
             r = run_strong(
-                COINS, NU3, C, adversary=Push("a"), seed=31, record=False, context=("q", i)
+                COINS, NU3, C, adversary=Push("a"), seed=31, context=("q", i)
             )
             seq_stages.append(r.stages)
             seq_idx.append(r.outcome_index)
@@ -310,8 +306,7 @@ class TestOneClock:
         block = simulate_strong(GAME_COINS, NU3, C, 200, **kw)
         step = simulate_strong(GAME_COINS, NU3, C, 200, m_cap=1, **kw)
         seq = [
-            run_strong(GAME_COINS, NU3, C, adversary=Stall(), seed=3, record=False,
-                       context=("c", i)).stages
+            run_strong(GAME_COINS, NU3, C, adversary=Stall(), seed=3, context=("c", i)).stages
             for i in range(10)
         ]
         assert set(block.stages) == set(step.stages) == set(seq) == {expect}
